@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .qsim import MAX_QUBITS
+
 
 class ConfigError(ValueError):
     pass
@@ -57,8 +59,10 @@ class ExperimentConfig:
     output_gram_final: bool = False
 
     def __post_init__(self):
-        if self.circuit_n_qubits < 1 or self.circuit_layers < 1:
-            raise ConfigError("circuit dimensions must be positive")
+        if not 1 <= self.circuit_n_qubits <= MAX_QUBITS:
+            raise ConfigError(f"circuit.n_qubits must lie in [1, {MAX_QUBITS}]")
+        if self.circuit_layers < 1:
+            raise ConfigError("circuit.layers must be at least 1")
         if self.data_source not in _SOURCES:
             raise ConfigError(f"data.source must be one of {_SOURCES}")
         if self.data_source == "csv" and not self.data_csv_path:
@@ -87,6 +91,16 @@ class ExperimentConfig:
         for p in self.nodes_noise_p:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError("nodes.noise_p entries must lie in [0, 1]")
+        if any(eta < 0.0 for eta in self.nodes_eta):
+            raise ConfigError("nodes.eta entries must be non-negative")
+        if any(q < 1 for q in self.nodes_subsample):
+            raise ConfigError("nodes.subsample entries must be at least 1")
+        if self.init_scale < 0.0:
+            raise ConfigError("init.scale must be non-negative")
+        if not self.ridge_lam > 0.0:
+            raise ConfigError("ridge.lam must be positive")
+        if not 0.0 <= self.run_threshold <= 1.0:
+            raise ConfigError("run.threshold must lie in [0, 1]")
         if self.eval_shots < 0:
             raise ConfigError("eval.shots must be 0 (exact) or positive")
         if self.run_budget < 1:

@@ -1,4 +1,4 @@
-"""Batched density-matrix evaluation of feature-map states and gradients.
+"""Batched Pauli-transfer evaluation of feature-map states and gradients.
 
 `qkernel.kernel_eval` walks the interference circuit one gate at a time, which
 is the readable reference path. Training loops need thousands of kernel
@@ -9,15 +9,25 @@ adjoint-noise placement (the default `NoiseModel`) that identity is exact:
 the uncompute half is the channel adjoint of the compute half, so its
 adjoint-propagated projector equals the forward state of the other point.
 
-Gradients come from one reverse sweep per batch (adjoint-state method) instead
-of per-parameter shifted evaluations. Both routes are cross-checked in the
-test suite; the parameter-shift rule stays the reference.
+Each state is its real vector of 4^n Pauli coefficients c_P = Tr[rho P] over
+the strings P in {I, X, Y, Z}^n, qubit 0 being the most significant base-4
+digit (Pauli transfer matrices; Greenbaum, arXiv:1509.02921). Since
+Tr[P Q] = D delta_PQ, the kernel is the real dot product c.c' / D. A wall
+RY(theta) RZ(x_f) H is a real 4x4 matrix per wire, applied as n batched
+matmuls; local depolarizing scales every string with a non-identity letter on
+the wire by (1 - p); a CNOT maps each string to plus or minus another string.
+Masks and signed permutations compose, so the wall noise and the CNOT ring
+with its interleaved per-gate noise fold into one gather c <- s * c[src],
+built once per noise model. Folding the wall noise is exact because
+depolarizing commutes with every unitary on its own wire: the channels after
+H, RZ and RY move past the rest of the wall and merge into one at the rate
+1 - (1 - p)^3. CNOT does not commute with local depolarizing, so the ring
+noise keeps its place between the CNOTs.
 
-Within each layer the three single-qubit walls (H, RZ, RY) commute with
-single-qubit depolarizing on the same wire, so the wall is applied as one
-dense per-element unitary followed by depolarizing at the composed rate
-1 - (1 - p)^3. That rewrite is exact. CNOT does not commute with local
-depolarizing, so ring noise stays interleaved with the ring.
+Gradients come from one reverse sweep per batch (adjoint-state method; Jones
+& Gacon, arXiv:2009.02823) instead of per-parameter shifted evaluations. Both
+routes are cross-checked in the test suite; the parameter-shift rule stays
+the reference.
 
 ``theta`` may be a single parameter vector shared by the batch or one vector
 per row, which lets several nodes' evaluations share one call chain.
@@ -25,87 +35,110 @@ per row, which lets several nodes' evaluations share one call chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .qkernel import FeatureMapSpec, NoiseModel
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_I, _X, _Y, _Z = range(4)  # Pauli letters, as base-4 digits of a string index
 
 
-def _cnot_perm(control: int, target: int, n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    cbit = (idx >> (n - 1 - control)) & 1
-    return np.where(cbit == 1, idx ^ (1 << (n - 1 - target)), idx)
+def _digit(strings: np.ndarray, q: int, n: int) -> np.ndarray:
+    return (strings >> (2 * (n - 1 - q))) & 3
 
 
-def _apply_perm(rho: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return rho[:, perm[:, None], perm[None, :]]
+def _cnot_map(control: int, target: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, sign) with CNOT P CNOT = sign * src[P], letters as X and Z bits.
+
+    CNOT copies the control's X bit onto the target and the target's Z bit
+    onto the control; the sign is the Aaronson-Gottesman tableau update.
+    """
+    strings = np.arange(4**n)
+    a, b = _digit(strings, control, n), _digit(strings, target, n)
+    xa, za = ((a + 1) >> 1) & 1, a >> 1
+    xb, zb = ((b + 1) >> 1) & 1, b >> 1
+    sign = 1 - 2 * (xa & zb & (xb ^ za ^ 1))
+    xb, za = xb ^ xa, za ^ zb
+    new_a, new_b = 2 * za + (xa ^ za), 2 * zb + (xb ^ zb)
+    src = (strings + ((new_a - a) << (2 * (n - 1 - control)))
+           + ((new_b - b) << (2 * (n - 1 - target))))
+    return src, sign.astype(float)
 
 
-def _depolarize_inplace(rho: np.ndarray, q: int, p: float, n: int) -> None:
-    """Local depolarizing on wire q, (1-p) rho + p Tr_q rho (x) I/2, in place."""
-    b, d = rho.shape[0], rho.shape[1]
-    left = 1 << q
-    right = d >> (q + 1)
-    r = rho.reshape(b, left, 2, right, left, 2, right)
-    tr = r[:, :, 0, :, :, 0, :] + r[:, :, 1, :, :, 1, :]
-    rho *= 1.0 - p
-    tr *= 0.5 * p
-    r[:, :, 0, :, :, 0, :] += tr
-    r[:, :, 1, :, :, 1, :] += tr
+@lru_cache(maxsize=16)
+def _layer_gather(n: int, p_gate: float, p_wall: float):
+    """Wall noise, then the CNOT ring with its per-gate noise, as one gather.
+
+    Returns ``(src, s, inv, s_inv)``: the forward map is c <- s * c[:, src],
+    its transpose lam <- s_inv * lam[:, inv]. Cached arrays are read-only.
+    """
+    strings = np.arange(4**n)
+    nontrivial = [(_digit(strings, q, n) != _I).astype(int) for q in range(n)]
+    src = strings
+    s = (1.0 - p_wall) ** np.sum(nontrivial, axis=0)
+    for k in range(n if n > 1 else 0):
+        qa, qb = k, (k + 1) % n
+        perm, sign = _cnot_map(qa, qb, n)
+        src, s = src[perm], sign * s[perm]
+        s = s * (1.0 - p_gate) ** (nontrivial[qa] + nontrivial[qb])
+    inv = np.argsort(src)
+    out = (src, s, inv, s[inv])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
-def _wall_unitary(
+def _wall_ptms(
     spec: FeatureMapSpec, theta_layer: np.ndarray, x: np.ndarray, assign
 ) -> np.ndarray:
-    """Dense (B, D, D) unitary of one RY(theta) RZ(x_f) H wall.
+    """(B, n, 4, 4) Pauli transfer matrices of one RY(theta) RZ(x_f) H wall.
 
-    ``theta_layer`` is (n,) shared or (B, n) per element.
+    ``theta_layer`` is (n,) shared or (B, n) per element. Rows are the output
+    letters I, X, Y, Z; the identity letter is fixed.
     """
-    b = x.shape[0]
-    n = spec.n_qubits
     z = x[:, list(assign)]
-    ez = np.exp(-0.5j * z)
-    rzh = np.empty((b, n, 2, 2), dtype=complex)
-    rzh[..., 0, 0] = ez * _SQRT_HALF
-    rzh[..., 0, 1] = ez * _SQRT_HALF
-    rzh[..., 1, 0] = np.conj(ez) * _SQRT_HALF
-    rzh[..., 1, 1] = -np.conj(ez) * _SQRT_HALF
-    c = np.cos(0.5 * theta_layer)
-    s = np.sin(0.5 * theta_layer)
-    if theta_layer.ndim == 1:
-        ry = np.zeros((n, 2, 2), dtype=complex)
-    else:
-        ry = np.zeros((b, n, 2, 2), dtype=complex)
-    ry[..., 0, 0] = c
-    ry[..., 0, 1] = -s
-    ry[..., 1, 0] = s
-    ry[..., 1, 1] = c
-    if theta_layer.ndim == 1:
-        mats = np.einsum("qij,bqjk->bqik", ry, rzh)
-    else:
-        mats = np.einsum("bqij,bqjk->bqik", ry, rzh)
-    u = mats[:, 0]
-    for q in range(1, n):
-        m = mats[:, q]
-        u = np.einsum("bij,bkl->bikjl", u, m).reshape(b, u.shape[1] * 2, -1)
-    return u
+    cz, sz = np.cos(z), np.sin(z)
+    ct, st = np.cos(theta_layer), np.sin(theta_layer)
+    m = np.zeros(z.shape + (4, 4))
+    m[..., _I, _I] = 1.0
+    m[..., _X, _X] = st
+    m[..., _X, _Y] = ct * sz
+    m[..., _X, _Z] = ct * cz
+    m[..., _Y, _Y] = -cz
+    m[..., _Y, _Z] = sz
+    m[..., _Z, _X] = ct
+    m[..., _Z, _Y] = -st * sz
+    m[..., _Z, _Z] = -st * cz
+    return m
+
+
+def _apply_wall(c: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Apply one 4x4 matrix per row and wire, ``mats`` being (B, n, 4, 4).
+
+    Each step contracts the leading digit and writes it as the trailing one,
+    so after n steps the digits are back in their original order. Both
+    operands are transposed views, which BLAS takes without a copy.
+    """
+    b = c.shape[0]
+    for q in range(mats.shape[1]):
+        c = np.matmul(c.reshape(b, 4, -1).swapaxes(1, 2), mats[:, q].swapaxes(1, 2))
+        c = c.reshape(b, -1)
+    return c
 
 
 @dataclass
 class LayerTape:
     sigma: np.ndarray  # batch state right after the single-qubit wall
-    unitary: np.ndarray  # dense wall unitary used by the pullback
+    wall: np.ndarray  # (B, n, 4, 4) wall transfer matrices used by the pullback
 
 
 def _noise_rates(noise: NoiseModel) -> tuple[float, float]:
     """(per-gate rate, fused wall rate) for the active noise model."""
     if noise.mode == "per_gate" and noise.p > 0.0:
-        p = noise.p
-        return p, 1.0 - (1.0 - p) ** 3
+        return noise.p, 1.0 - (1.0 - noise.p) ** 3
     return 0.0, 0.0
 
 
@@ -128,60 +161,41 @@ def feature_states(
     theta,
     x,
     noise: NoiseModel = NoiseModel(),
-    noise_before: bool = False,
     record_tape: bool = False,
 ):
     """Simulate the noisy feature map for every row of ``x``.
 
-    Returns ``(states, tapes)``; ``tapes`` is None unless ``record_tape``.
-    ``noise_before`` switches per-gate channels to precede their gates, the
-    placement that shows up when the trailing-noise adjoint half of an
-    interference circuit is pulled back onto the projector (only used by the
-    "after" adjoint placement).
+    Returns ``(states, tapes)``: ``states`` is (B, 4**n), each row the Pauli
+    coefficients Tr[rho P] of one feature state, and ``tapes`` is None unless
+    ``record_tape``.
     """
     theta = np.asarray(theta, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     b = x.shape[0]
     _check_theta(spec, theta, b)
     n = spec.n_qubits
-    d = spec.dim
     assign = spec.feature_assignment(x.shape[1])
-    p_gate, p_wall = _noise_rates(noise)
+    src, s, _, _ = _layer_gather(n, *_noise_rates(noise))
 
-    rho = np.zeros((b, d, d), dtype=complex)
-    rho[:, 0, 0] = 1.0
-    perms = [_cnot_perm(k, (k + 1) % n, n) for k in range(n)] if n > 1 else []
+    strings = np.arange(4**n)  # |0..0><0..0| has c = 1 on the I/Z strings
+    zero = np.all([_digit(strings, q, n) % 3 == 0 for q in range(n)], axis=0)
+    c = np.broadcast_to(zero.astype(float), (b, strings.size))
     tapes: list[LayerTape] | None = [] if record_tape else None
 
     for layer in range(spec.layers):
-        u = _wall_unitary(spec, _theta_layer(theta, layer, n), x, assign)
-        if noise_before and p_wall > 0.0:
-            for q in range(n):
-                _depolarize_inplace(rho, q, p_wall, n)
-        rho = np.matmul(np.matmul(u, rho), u.conj().swapaxes(1, 2))
+        mats = _wall_ptms(spec, _theta_layer(theta, layer, n), x, assign)
+        c = _apply_wall(c, mats)
         if tapes is not None:
-            tapes.append(LayerTape(sigma=rho.copy(), unitary=u))
-        if not noise_before and p_wall > 0.0:
-            for q in range(n):
-                _depolarize_inplace(rho, q, p_wall, n)
-        for k in range(len(perms)):
-            qa, qb = k, (k + 1) % n
-            if noise_before and p_gate > 0.0:
-                _depolarize_inplace(rho, qa, p_gate, n)
-                _depolarize_inplace(rho, qb, p_gate, n)
-            rho = _apply_perm(rho, perms[k])
-            if not noise_before and p_gate > 0.0:
-                _depolarize_inplace(rho, qa, p_gate, n)
-                _depolarize_inplace(rho, qb, p_gate, n)
-    return rho, tapes
+            tapes.append(LayerTape(sigma=c, wall=mats))
+        c = s * c[:, src]
+    return c, tapes
 
 
 def gram_from_states(states_a: np.ndarray, states_b: np.ndarray | None = None):
-    """Kernel block K[i, j] = Tr[rho_a(i) rho_b(j)], clipped to [0, 1]."""
-    a = states_a.reshape(states_a.shape[0], -1)
-    bm = a if states_b is None else states_b.reshape(states_b.shape[0], -1)
-    k = (a @ bm.conj().T).real
-    return np.clip(k, 0.0, 1.0)
+    """Kernel block K[i, j] = c_a(i) . c_b(j) / D, clipped to [0, 1]."""
+    bm = states_a if states_b is None else states_b
+    d = math.isqrt(states_a.shape[1])
+    return np.clip((states_a @ bm.T) / d, 0.0, 1.0)
 
 
 def backward(
@@ -191,45 +205,35 @@ def backward(
     cost_ops: np.ndarray,
     per_element: bool = False,
 ) -> np.ndarray:
-    """Gradient of sum_b Tr[W_b rho_b(theta)] for Hermitian cost ops W.
+    """Gradient of sum_b lam_b . c_b(theta) for (B, 4**n) real cost vectors.
 
-    ``tapes`` must come from a ``noise_before=False`` forward pass with the
-    same noise model. The costate starts at the cost operators and is pulled
-    back through the channel adjoints (depolarizing and CNOT conjugation are
-    self-adjoint); every RY angle contributes (-i/2) Tr(Y_q [sigma, costate])
-    at its wall. The global analytic map is an affine rescale the caller
-    applies to the cost weights. With ``per_element`` the per-row terms
-    d Tr[W_b rho_b] / d theta come back as (B, T) instead of summed rows,
-    which is the full gradient split when each row carries its own theta.
+    ``tapes`` must come from a forward pass with the same noise model. The
+    costate is pulled back through each layer's transposed gather and wall.
+    RY on wire q generates Z -> X and X -> -Z, so at its wall theta_q
+    contributes sum lam[X on q] sigma[Z on q] - lam[Z on q] sigma[X on q].
+    The global analytic map is an affine rescale the caller applies to the
+    cost weights. With ``per_element`` the per-row terms come back as (B, T)
+    instead of summed rows, which is the full gradient split when each row
+    carries its own theta.
     """
     n = spec.n_qubits
     if len(tapes) != spec.layers:
         raise ValueError("tape does not match the circuit depth")
-    p_gate, p_wall = _noise_rates(noise)
-    perms = [_cnot_perm(k, (k + 1) % n, n) for k in range(n)] if n > 1 else []
-    lam = np.array(cost_ops, dtype=complex, copy=True)
+    _, _, inv, s_inv = _layer_gather(n, *_noise_rates(noise))
+    lam = np.asarray(cost_ops, dtype=float)
     b = lam.shape[0]
     grad = np.zeros((b, spec.n_params))
     for layer in range(spec.layers - 1, -1, -1):
-        for k in range(len(perms) - 1, -1, -1):
-            qa, qb = k, (k + 1) % n
-            if p_gate > 0.0:
-                _depolarize_inplace(lam, qb, p_gate, n)
-                _depolarize_inplace(lam, qa, p_gate, n)
-            lam = _apply_perm(lam, perms[k])
-        if p_wall > 0.0:
-            for q in range(n):
-                _depolarize_inplace(lam, q, p_wall, n)
+        lam = s_inv * lam[:, inv]
         tape = tapes[layer]
-        comm = tape.sigma @ lam - lam @ tape.sigma
         for q in range(n):
-            left = 1 << q
-            right = spec.dim >> (q + 1)
-            cv = comm.reshape(b, left, 2, right, left, 2, right)
-            cq = np.einsum("blarlcr->bac", cv)
-            grad[:, layer * n + q] = ((-0.5j) * np.einsum("ac,bca->b", _Y, cq)).real
-        u = tape.unitary
-        lam = np.matmul(np.matmul(u.conj().swapaxes(1, 2), lam), u)
+            lv = lam.reshape(b, 4**q, 4, -1)
+            sv = tape.sigma.reshape(b, 4**q, 4, -1)
+            grad[:, layer * n + q] = (
+                np.einsum("blr,blr->b", lv[:, :, _X], sv[:, :, _Z])
+                - np.einsum("blr,blr->b", lv[:, :, _Z], sv[:, :, _X])
+            )
+        lam = _apply_wall(lam, tape.wall.swapaxes(2, 3))
     return grad if per_element else grad.sum(axis=0)
 
 
@@ -244,8 +248,7 @@ def pair_kernel_grad(
     x = np.vstack([np.asarray(x1, float), np.asarray(x2, float)])
     states, tapes = feature_states(spec, theta, x, noise, record_tape=True)
     k = float(gram_from_states(states[:1], states[1:2])[0, 0])
-    cost = states[::-1].copy()
-    grad = backward(spec, noise, tapes, cost)
+    grad = backward(spec, noise, tapes, states[::-1] / spec.dim)
     if noise.mode == "global":
         k = (1.0 - noise.p) * k + noise.p / spec.dim
         grad = (1.0 - noise.p) * grad
@@ -319,8 +322,8 @@ def alignment_and_grad(
     """Alignment of the dataset's Gram with y yT and its theta gradient.
 
     One forward pass with tape, one reverse sweep: the dA/dK weights become
-    the Hermitian cost operators C_b = 2 sum_j W_bj rho_j, since each state
-    enters the Gram bilinearly.
+    the cost vectors (2 / D) sum_j W_bj c_j, since each state enters the Gram
+    bilinearly.
     """
     if noise.mode == "per_gate" and noise.adjoint_noise != "mirror":
         raise ValueError("state-overlap gradients need mirrored adjoint noise")
@@ -332,8 +335,7 @@ def alignment_and_grad(
     k = _affine_global(gram_from_states(states), noise, spec.dim)
     a, w = _alignment_weights(k, y)
     scale = (1.0 - noise.p) if noise.mode == "global" else 1.0
-    cost = 2.0 * scale * np.einsum("bj,jkl->bkl", w, states)
-    grad = backward(spec, noise, tapes, cost)
+    grad = backward(spec, noise, tapes, (2.0 * scale / spec.dim) * (w @ states))
     return a, grad
 
 
@@ -365,9 +367,7 @@ def multi_alignment_grads(
         k = _affine_global(gram_from_states(block), noise, spec.dim)
         a, w = _alignment_weights(k, np.asarray(y, dtype=float))
         values.append(a)
-        cost[offset : offset + c] = 2.0 * scale * np.einsum(
-            "bj,jkl->bkl", w, block
-        )
+        cost[offset : offset + c] = (2.0 * scale / spec.dim) * (w @ block)
         offset += c
     per_row = backward(spec, noise, tapes, cost, per_element=True)
     grads = np.zeros_like(thetas)

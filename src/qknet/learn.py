@@ -42,13 +42,19 @@ def gram(spec: qkernel.FeatureMapSpec, theta, dataset: LabeledDataset,
     if noise.shots is not None:
         if rng is None:
             raise LearnError("shot sampling needs an rng")
-        iu = np.triu_indices(len(k))
-        sampled = qkernel.shot_sample(k[iu], noise.shots, rng)
-        out = np.zeros_like(k)
-        out[iu] = sampled
-        out = out + out.T - np.diag(np.diag(out))
-        return out
+        return _shot_sampled_symmetric(k, noise.shots, rng)
     return k
+
+
+def _shot_sampled_symmetric(k: np.ndarray, shots: int, rng) -> np.ndarray:
+    """One binomial frequency per unordered pair of a symmetric Gram, mirrored.
+
+    Draws cover the upper triangle, diagonal included, in row-major order.
+    """
+    iu = np.triu_indices(len(k))
+    out = np.zeros_like(k)
+    out[iu] = qkernel.shot_sample(k[iu], shots, rng)
+    return out + out.T - np.diag(np.diag(out))
 
 
 def alignment(k: np.ndarray, labels) -> float:
@@ -151,11 +157,7 @@ def score(spec: qkernel.FeatureMapSpec, theta, train: LabeledDataset,
     if noise.shots is not None:
         if rng is None:
             raise LearnError("shot sampling needs an rng")
-        iu = np.triu_indices(len(k_train))
-        samp = qkernel.shot_sample(k_train[iu], noise.shots, rng)
-        kt = np.zeros_like(k_train)
-        kt[iu] = samp
-        k_train = kt + kt.T - np.diag(np.diag(kt))
+        k_train = _shot_sampled_symmetric(k_train, noise.shots, rng)
         k_cross = qkernel.shot_sample(k_cross, noise.shots, rng)
     model = fit_ridge(k_train, train.y, lam)
     pred = predict(model, k_cross)

@@ -263,9 +263,8 @@ def _half_steps(problem: Problem, thetas: np.ndarray, rnd: int):
             q = min(node.subsample, n_local)
             idx = derived_rng(cfg.run_seed, TAG_SUBSAMPLE, i, rnd).choice(
                 n_local, size=q, replace=False)
-            sub = node.train.subset(idx)
-            xs.append(sub.x)
-            ys.append(sub.y)
+            xs.append(node.train.x[idx])
+            ys.append(node.train.y[idx])
         values, grads = engine.multi_alignment_grads(
             problem.spec, thetas[ids], xs, ys, noise)
         for pos, i in enumerate(ids):
@@ -320,8 +319,7 @@ def _exchange(problem: Problem, thetas: np.ndarray, halves: list, rnd: int):
             new[i] = dnet.aggregate_plain(msgs, w[i])
 
     if not robust and all(n.role == dnet.HONEST for n in problem.nodes):
-        drift = float(np.max(np.abs(new.mean(axis=0)
-                                    - np.mean(np.stack(halves), axis=0))))
+        drift = float(np.max(np.abs((new - halves).mean(axis=0))))
         if drift > 1e-12:
             raise RunError(f"aggregation moved the network mean by {drift:.3e}")
     return new

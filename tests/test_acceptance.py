@@ -196,8 +196,8 @@ def _fd_kernel_grad(spec, theta, x1, x2, noise, h):
         minus[t] -= h
         states, _ = engine.feature_states(spec, np.stack([plus, plus, minus, minus]),
                                           xs, noise)
-        k_plus = float(np.real(np.trace(states[0] @ states[1])))
-        k_minus = float(np.real(np.trace(states[2] @ states[3])))
+        k_plus = float(states[0] @ states[1] / spec.dim)
+        k_minus = float(states[2] @ states[3] / spec.dim)
         grad[t] = (k_plus - k_minus) / (2.0 * h)
     return grad
 

@@ -1,5 +1,7 @@
 """Config text format: parsing, validation, per-node broadcasting."""
 
+import re
+
 import pytest
 
 from qknet import config
@@ -86,6 +88,31 @@ def test_validation_catches_bad_fields():
         ExperimentConfig(run_eval_every=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(eval_shots=-1)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("nodes.subsample = 0", "nodes.subsample"),
+        ("nodes.subsample = 8, 0, 8, 8", "nodes.subsample"),
+        ("nodes.eta = -0.1", "nodes.eta"),
+        ("nodes.eta = 0", None),
+        ("ridge.lam = 0", "ridge.lam"),
+        ("init.scale = -0.5", "init.scale"),
+        ("init.scale = 0", None),
+        ("run.threshold = 1.5", "run.threshold"),
+        ("run.threshold = -0.1", "run.threshold"),
+        ("circuit.n_qubits = 13", "circuit.n_qubits"),
+        ("circuit.n_qubits = 12", None),
+        ("circuit.layers = 0", "circuit.layers"),
+    ],
+)
+def test_out_of_range_values_fail_at_parse_time_naming_the_key(line, key):
+    if key is None:
+        config.parse_config(line)
+        return
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        config.parse_config(line)
 
 
 def test_per_node_lengths_must_broadcast():

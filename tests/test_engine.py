@@ -7,6 +7,8 @@ are additionally checked against finite differences of the alignment.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qknet import engine, learn, qkernel, qsim
 from qknet.qkernel import FeatureMapSpec, NoiseModel
@@ -29,6 +31,17 @@ def forward_state_oracle(spec, theta, x, noise):
     return rho
 
 
+def pauli_strings(n):
+    """(4**n, D, D) matrices of {I, X, Y, Z}^n, qubit 0 the leading letter."""
+    letters = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                        [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    out = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):
+        out = np.einsum("aij,bkl->abikjl", out, letters).reshape(
+            len(out) * 4, out.shape[1] * 2, -1)
+    return out
+
+
 def random_batch(rng, n_points, dim=2):
     return rng.uniform(-1.0, 1.0, size=(n_points, dim))
 
@@ -47,9 +60,11 @@ def test_feature_states_match_per_point_simulation():
         x = random_batch(rng, 4)
         states, tapes = engine.feature_states(spec, theta, x, noise)
         assert tapes is None
-        assert states.shape == (4, spec.dim, spec.dim)
+        assert states.shape == (4, 4**spec.n_qubits)
+        strings = pauli_strings(spec.n_qubits)
         for i in range(4):
-            want = forward_state_oracle(spec, theta, x[i], noise)
+            rho = forward_state_oracle(spec, theta, x[i], noise)
+            want = np.einsum("pij,ji->p", strings, rho).real
             assert np.max(np.abs(states[i] - want)) < 1e-12
 
 
@@ -230,3 +245,90 @@ def test_gram_from_states_clips_to_unit_interval():
     k = engine.gram_from_states(states)
     assert np.all(k >= 0.0) and np.all(k <= 1.0)
     assert np.max(np.abs(np.diag(k) - 1.0)) < 1e-12
+
+
+# Property tests: random circuit shapes, noise models and parameters against
+# the gate-by-gate reference. Derandomized and without an example database,
+# so every run draws the same cases.
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, deadline=None, max_examples=50
+)
+
+
+@st.composite
+def circuits(draw):
+    """(spec, noise, rng) over n <= 4 wires, <= 3 layers and every noise mode."""
+    spec = FeatureMapSpec(
+        n_qubits=draw(st.integers(1, 4)), layers=draw(st.integers(1, 3))
+    )
+    mode = draw(st.sampled_from(qkernel.NOISE_MODES))
+    if mode == "exact":
+        noise = NoiseModel()
+    elif mode == "per_gate":
+        noise = NoiseModel(mode=mode, p=draw(st.floats(0.0, 0.2)))
+    else:
+        noise = NoiseModel(mode=mode, p=draw(st.floats(0.0, 1.0)))
+    return spec, noise, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY_SETTINGS
+@given(circuits(), st.integers(1, 4), st.booleans())
+def test_property_gram_matrix_matches_reference(case, n_points, per_row):
+    spec, noise, rng = case
+    x = random_batch(rng, n_points)
+    shape = (n_points, spec.n_params) if per_row else (spec.n_params,)
+    theta = rng.uniform(-np.pi, np.pi, size=shape)
+    k = engine.gram_matrix(spec, theta, x, noise)
+    for i in range(n_points):
+        for j in range(n_points):
+            if per_row:  # theta_i computes, theta_j uncomputes
+                want = qkernel._interference_value(
+                    spec, theta[i], theta[j], x[i], x[j], noise
+                )
+            else:
+                want = qkernel.kernel_eval(spec, theta, x[i], x[j], noise)
+            assert abs(k[i, j] - want) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(circuits(), st.integers(1, 3), st.integers(1, 3))
+def test_property_train_test_grams_match_reference(case, n_train, n_test):
+    spec, noise, rng = case
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    x_train, x_test = random_batch(rng, n_train), random_batch(rng, n_test)
+    k_train, k_cross = engine.train_test_grams(spec, theta, x_train, x_test, noise)
+    for i in range(n_train):
+        for j in range(n_train):
+            want = qkernel.kernel_eval(spec, theta, x_train[i], x_train[j], noise)
+            assert abs(k_train[i, j] - want) < 1e-10
+        for j in range(n_test):
+            want = qkernel.kernel_eval(spec, theta, x_test[j], x_train[i], noise)
+            assert abs(k_cross[j, i] - want) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(circuits())
+def test_property_pair_kernel_grad_matches_parameter_shift(case):
+    spec, noise, rng = case
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    x1, x2 = random_batch(rng, 2)
+    k, grad = engine.pair_kernel_grad(spec, theta, x1, x2, noise)
+    assert abs(k - qkernel.kernel_eval(spec, theta, x1, x2, noise)) < 1e-10
+    shift = qkernel.parameter_shift_gradient(spec, theta, x1, x2, noise)
+    assert np.max(np.abs(grad - shift)) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(circuits(), st.lists(st.integers(2, 5), min_size=1, max_size=3), st.booleans())
+def test_property_multi_alignment_matches_per_node_calls(case, counts, shared):
+    spec, noise, rng = case
+    thetas = rng.uniform(-np.pi, np.pi, size=(len(counts), spec.n_params))
+    if shared:
+        thetas[:] = thetas[0]
+    xs = [random_batch(rng, c) for c in counts]
+    ys = [balanced_labels(c) for c in counts]
+    values, grads = engine.multi_alignment_grads(spec, thetas, xs, ys, noise)
+    for i in range(len(counts)):
+        a, g = engine.alignment_and_grad(spec, thetas[i], xs[i], ys[i], noise)
+        assert abs(values[i] - a) < 1e-12
+        assert np.max(np.abs(grads[i] - g)) < 1e-12
