@@ -26,8 +26,9 @@ def trajectory(rule):
     thetas = runner._init_thetas(prob)
     norms = [float(np.linalg.norm(thetas[0]))]
     pulls = []
+    schedule = runner._subsample_schedule(prob, ROUNDS)
     for rnd in range(ROUNDS):
-        halves, _ = runner._half_steps(prob, thetas, rnd)
+        halves, _ = runner._half_steps(prob, thetas, schedule[rnd])
         mixed = runner._exchange(prob, thetas, halves, rnd)
         pulls.append(max(float(np.linalg.norm(mixed[i] - halves[i]))
                          for i in HONEST))

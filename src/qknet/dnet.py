@@ -31,6 +31,7 @@ class Topology:
     n_nodes: int
     edges: frozenset
     kind: str = "custom"
+    _adjacency: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -44,6 +45,12 @@ class Topology:
                 raise NetError(f"edge {e} out of range")
             edges.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(edges))
+        adjacency = [[] for _ in range(self.n_nodes)]
+        for a, b in edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        object.__setattr__(self, "_adjacency",
+                           tuple(tuple(sorted(adj)) for adj in adjacency))
         if not self._connected():
             raise NetError("topology must be connected")
 
@@ -61,16 +68,10 @@ class Topology:
         return len(seen) == self.n_nodes
 
     def neighbors(self, i: int) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return list(self._adjacency[i])
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+        return len(self._adjacency[i])
 
 
 def ring(n_nodes: int) -> Topology:

@@ -45,6 +45,17 @@ from .qkernel import FeatureMapSpec, NoiseModel
 
 _I, _X, _Y, _Z = range(4)  # Pauli letters, as base-4 digits of a string index
 
+_BLOCK_BYTES = 512 * 1024
+"""Bytes of one (rows, 4**n) temporary of the forward pass.
+
+The per-row cost of the forward pass grows with the batch once its
+temporaries no longer fit in the core's cache, so rows are simulated in
+blocks of this many bytes: 64 rows at n = 5 and 16 at n = 6. On a 2 MiB L2
+this halved the per-row cost of a 160-row batch at both sizes against a
+single block; 256 KiB split the 16-row training batches at n = 6 in two,
+which was slower than one block.
+"""
+
 
 def _digit(strings: np.ndarray, q: int, n: int) -> np.ndarray:
     return (strings >> (2 * (n - 1 - q))) & 3
@@ -156,6 +167,16 @@ def _check_theta(spec: FeatureMapSpec, theta: np.ndarray, b: int) -> None:
         )
 
 
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """Row blocks as one array; a single block is returned without a copy."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _block_rows(n: int) -> int:
+    """Rows per forward block: the (rows, 4**n) temporaries stay in cache."""
+    return max(1, _BLOCK_BYTES // (8 * 4**n))
+
+
 def feature_states(
     spec: FeatureMapSpec,
     theta,
@@ -167,7 +188,8 @@ def feature_states(
 
     Returns ``(states, tapes)``: ``states`` is (B, 4**n), each row the Pauli
     coefficients Tr[rho P] of one feature state, and ``tapes`` is None unless
-    ``record_tape``.
+    ``record_tape``. Rows are simulated in blocks of ``_block_rows(n)``; rows
+    are independent, so the result does not depend on the block size.
     """
     theta = np.asarray(theta, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -178,17 +200,27 @@ def feature_states(
     src, s, _, _ = _layer_gather(n, *_noise_rates(noise))
 
     strings = np.arange(4**n)  # |0..0><0..0| has c = 1 on the I/Z strings
-    zero = np.all([_digit(strings, q, n) % 3 == 0 for q in range(n)], axis=0)
-    c = np.broadcast_to(zero.astype(float), (b, strings.size))
-    tapes: list[LayerTape] | None = [] if record_tape else None
+    zero = np.all([_digit(strings, q, n) % 3 == 0 for q in range(n)], axis=0).astype(float)
+    states = []
+    sigmas = [[] for _ in range(spec.layers)]
+    walls = [[] for _ in range(spec.layers)]
 
-    for layer in range(spec.layers):
-        mats = _wall_ptms(spec, _theta_layer(theta, layer, n), x, assign)
-        c = _apply_wall(c, mats)
-        if tapes is not None:
-            tapes.append(LayerTape(sigma=c, wall=mats))
-        c = s * c[:, src]
-    return c, tapes
+    step = _block_rows(n)
+    for lo in range(0, b, step):
+        rows = slice(lo, min(lo + step, b))
+        block_theta = theta if theta.ndim == 1 else theta[rows]
+        c = np.broadcast_to(zero, (rows.stop - lo, strings.size))
+        for layer in range(spec.layers):
+            mats = _wall_ptms(spec, _theta_layer(block_theta, layer, n), x[rows], assign)
+            c = _apply_wall(c, mats)
+            if record_tape:
+                sigmas[layer].append(c)
+                walls[layer].append(mats)
+            c = s * c[:, src]
+        states.append(c)
+    tapes = [LayerTape(sigma=_joined(sig), wall=_joined(w))
+             for sig, w in zip(sigmas, walls)] if record_tape else None
+    return _joined(states), tapes
 
 
 def gram_from_states(states_a: np.ndarray, states_b: np.ndarray | None = None):

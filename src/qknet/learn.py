@@ -69,19 +69,6 @@ def alignment(k: np.ndarray, labels) -> float:
     return float(y @ k @ y) / (n * np.sqrt(frob))
 
 
-def alignment_grad_weights(k: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Alignment value and dA/dK as a matrix, from the quotient rule."""
-    y = np.asarray(labels, dtype=float)
-    n = len(y)
-    frob = float(np.sum(k * k))
-    if frob < DEGENERATE_FROBENIUS:
-        raise LearnError("degenerate kernel: zero Frobenius norm")
-    num = float(y @ k @ y)
-    a = num / (n * np.sqrt(frob))
-    w = np.outer(y, y) / (n * np.sqrt(frob)) - (num / (n * frob ** 1.5)) * k
-    return a, w
-
-
 def loss(dataset: LabeledDataset, theta, spec: qkernel.FeatureMapSpec,
          noise: qkernel.NoiseModel, rng=None) -> float:
     return -alignment(gram(spec, theta, dataset, noise, rng=rng), dataset.y)
@@ -149,16 +136,32 @@ def predict(model: RidgeModel, k_vec: np.ndarray) -> np.ndarray:
 
 def score(spec: qkernel.FeatureMapSpec, theta, train: LabeledDataset,
           test: LabeledDataset, noise: qkernel.NoiseModel, lam: float = 0.1,
-          rng=None) -> float:
-    """Accuracy of the ridge model trained on `train`, evaluated on `test`."""
+          rng=None, splits=None):
+    """Accuracy of the ridge model trained on `train`, evaluated on `test`.
+
+    `splits` is a sequence of (train rows, test rows) index pairs into `train`
+    and `test`. With it, one simulation of both sets serves every split and
+    the result is one accuracy per split, each as if `score` had been called
+    on those subsets in turn (shot draws included, in split order).
+    """
     if len(train) == 0 or len(test) == 0:
         raise LearnError("empty train or test set")
+    if noise.shots is not None and rng is None:
+        raise LearnError("shot sampling needs an rng")
     k_train, k_cross = engine.train_test_grams(spec, theta, train.x, test.x, noise)
-    if noise.shots is not None:
-        if rng is None:
-            raise LearnError("shot sampling needs an rng")
-        k_train = _shot_sampled_symmetric(k_train, noise.shots, rng)
-        k_cross = qkernel.shot_sample(k_cross, noise.shots, rng)
-    model = fit_ridge(k_train, train.y, lam)
-    pred = predict(model, k_cross)
-    return float(np.mean(pred == test.y))
+    whole = splits is None
+    if whole:
+        splits = [(range(len(train)), range(len(test)))]
+    accuracies = []
+    for tr, te in splits:
+        tr, te = np.asarray(tr, dtype=int), np.asarray(te, dtype=int)
+        if len(tr) == 0 or len(te) == 0:
+            raise LearnError("empty train or test set")
+        k_tr, k_te = k_train[np.ix_(tr, tr)], k_cross[np.ix_(te, tr)]
+        if noise.shots is not None:
+            k_tr = _shot_sampled_symmetric(k_tr, noise.shots, rng)
+            k_te = qkernel.shot_sample(k_te, noise.shots, rng)
+        model = fit_ridge(k_tr, train.y[tr], lam)
+        pred = predict(model, k_te)
+        accuracies.append(float(np.mean(pred == test.y[te])))
+    return accuracies[0] if whole else accuracies

@@ -14,6 +14,7 @@ execution order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +61,9 @@ def derived_seed(master: int, tag: int, node: int = 0, rnd: int = 0) -> int:
 
 @dataclass(frozen=True)
 class NodeSetup:
+    """One node's data and settings; ``train_rows`` and ``test_rows`` are
+    where its ``train`` and ``test`` sit in the problem's global sets."""
+
     node_id: int
     role: str
     train: LabeledDataset
@@ -67,6 +71,8 @@ class NodeSetup:
     noise: NoiseModel
     eta: float
     subsample: int
+    train_rows: range
+    test_rows: range
 
 
 @dataclass(frozen=True)
@@ -163,8 +169,9 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     """Distribute data and freeze per-node settings for one run.
 
     Each node's local split is stratified within its partition block; the
-    global train/test sets are the unions of the local splits, so no node's
-    test point ever appears in any training set.
+    global train/test sets are the unions of the local splits in node order,
+    so no node's test point ever appears in any training set and each node's
+    rows are one contiguous block of each global set.
     """
     if mode not in ("decentralized", "centralized", "local"):
         raise RunError(f"unknown mode {mode!r}")
@@ -194,6 +201,7 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
 
     nodes = []
     locals_train, locals_test = [], []
+    n_train = n_test = 0
     for i in range(n_nodes):
         block = dataset.subset(parts[i])
         tr_idx, te_idx = train_test_split(
@@ -208,7 +216,11 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         nodes.append(NodeSetup(
             node_id=i, role=roles[i], train=train, test=test,
             noise=noise, eta=etas[i], subsample=subs[i],
+            train_rows=range(n_train, n_train + len(train)),
+            test_rows=range(n_test, n_test + len(test)),
         ))
+        n_train += len(train)
+        n_test += len(test)
 
     global_train = locals_train[0]
     global_test = locals_test[0]
@@ -242,39 +254,70 @@ def _init_thetas(problem: Problem) -> np.ndarray:
     return thetas
 
 
-def _half_steps(problem: Problem, thetas: np.ndarray, rnd: int):
-    """Per-node half-step parameters and subsample metrics for one round.
+@dataclass(frozen=True)
+class _GroupBatch:
+    """One round's subsamples for the honest nodes sharing a noise model."""
 
-    Honest nodes sharing a noise model share one batched simulation; a
-    subsample size at or above the local set means a full-batch gradient.
+    noise: NoiseModel
+    ids: list[int]
+    etas: np.ndarray  # (len(ids), 1) step sizes
+    xs: list[np.ndarray]
+    ys: list[np.ndarray]
+
+
+def _subsample_schedule(problem: Problem, rounds: int) -> list[tuple[_GroupBatch, ...]]:
+    """Every round's subsample batches, grouped by honest noise model.
+
+    Each (node, round) draws from its own TAG_SUBSAMPLE stream, so drawing
+    the whole schedule up front gives the same rows as drawing round by
+    round. A subsample size at or above the local set means a full batch.
     """
-    cfg = problem.config
-    halves = [None] * len(problem.nodes)
-    metrics: list[tuple[float, float, float] | None] = [None] * len(problem.nodes)
     groups: dict[NoiseModel, list[int]] = {}
     for node in problem.nodes:
         if node.role == dnet.HONEST:
             groups.setdefault(node.noise, []).append(node.node_id)
-    for noise, ids in groups.items():
-        xs, ys = [], []
-        for i in ids:
-            node = problem.nodes[i]
-            n_local = len(node.train)
-            q = min(node.subsample, n_local)
-            idx = derived_rng(cfg.run_seed, TAG_SUBSAMPLE, i, rnd).choice(
-                n_local, size=q, replace=False)
-            xs.append(node.train.x[idx])
-            ys.append(node.train.y[idx])
+    etas = {noise: np.array([[problem.nodes[i].eta] for i in ids])
+            for noise, ids in groups.items()}
+    seed = problem.config.run_seed
+    schedule = []
+    for rnd in range(rounds):
+        batches = []
+        for noise, ids in groups.items():
+            xs, ys = [], []
+            for i in ids:
+                train = problem.nodes[i].train
+                q = min(problem.nodes[i].subsample, len(train))
+                idx = derived_rng(seed, TAG_SUBSAMPLE, i, rnd).choice(
+                    len(train), size=q, replace=False)
+                xs.append(train.x[idx])
+                ys.append(train.y[idx])
+            batches.append(_GroupBatch(noise, ids, etas[noise], xs, ys))
+        schedule.append(tuple(batches))
+    return schedule
+
+
+def _half_steps(problem: Problem, thetas: np.ndarray,
+                batches: tuple[_GroupBatch, ...]):
+    """Per-node half-step parameters and subsample metrics for one round.
+
+    ``batches`` is the round's entry of ``_subsample_schedule``; each group
+    shares one batched simulation. Rows of nodes that are not honest keep
+    their stored parameters.
+    """
+    halves = thetas.copy()
+    metrics: list[tuple[float, float, float] | None] = [None] * len(problem.nodes)
+    for batch in batches:
+        own = thetas[batch.ids]
         values, grads = engine.multi_alignment_grads(
-            problem.spec, thetas[ids], xs, ys, noise)
-        for pos, i in enumerate(ids):
-            halves[i] = thetas[i] + problem.nodes[i].eta * grads[pos]
-            gn = float(np.linalg.norm(grads[pos]))
-            metrics[i] = (-values[pos], values[pos], gn)
+            problem.spec, own, batch.xs, batch.ys, batch.noise)
+        halves[batch.ids] = own + batch.etas * grads
+        for pos, i in enumerate(batch.ids):
+            g = grads[pos]
+            metrics[i] = (-values[pos], values[pos], math.sqrt(float(g @ g)))
     return halves, metrics
 
 
-def _exchange(problem: Problem, thetas: np.ndarray, halves: list, rnd: int):
+def _exchange(problem: Problem, thetas: np.ndarray, halves: np.ndarray, rnd: int):
     """One message exchange plus aggregation; returns the next parameters."""
     cfg = problem.config
     top, w = problem.topology, problem.weights
@@ -284,12 +327,8 @@ def _exchange(problem: Problem, thetas: np.ndarray, halves: list, rnd: int):
         if node.role == dnet.HONEST:
             broadcast[i] = halves[i]
             continue
-        received = []
-        for j in top.neighbors(i):
-            if problem.nodes[j].role == dnet.HONEST:
-                received.append(halves[j])
-            else:
-                received.append(thetas[j])  # fellow attacker: last stored state
+        # a fellow attacker's row of `halves` is its last stored state
+        received = [halves[j] for j in top.neighbors(i)]
         if node.role == dnet.GAUSSIAN_ATTACKER:
             rng = derived_rng(cfg.run_seed, TAG_ATTACK, i, rnd)
             broadcast[i] = dnet.attack_gaussian(received, rng)
@@ -298,28 +337,31 @@ def _exchange(problem: Problem, thetas: np.ndarray, halves: list, rnd: int):
 
     robust = cfg.aggregation_rule == "robust_clip"
     new = np.empty_like(thetas)
+    honest = []
     for node in problem.nodes:
         i = node.node_id
         if node.role != dnet.HONEST:
             new[i] = broadcast[i]
             continue
+        honest.append(i)
         msgs = {j: broadcast[j] for j in top.neighbors(i)}
         msgs[i] = halves[i]
         if robust:
             new[i] = dnet.aggregate_robust(
                 halves[i], msgs, w[i], cfg.aggregation_tau,
                 reference=cfg.aggregation_reference)
-            if cfg.aggregation_reference == dnet.SELF_CENTERED:
-                pull = float(np.linalg.norm(new[i] - halves[i]))
-                if pull > cfg.aggregation_tau + 1e-9:
-                    raise RunError(
-                        f"clipped aggregation moved node {i} by {pull:.3e},"
-                        f" beyond tau={cfg.aggregation_tau}")
         else:
             new[i] = dnet.aggregate_plain(msgs, w[i])
 
-    if not robust and all(n.role == dnet.HONEST for n in problem.nodes):
-        drift = float(np.max(np.abs((new - halves).mean(axis=0))))
+    if robust and cfg.aggregation_reference == dnet.SELF_CENTERED:
+        pulls = np.linalg.norm(new[honest] - halves[honest], axis=1)
+        worst = int(np.argmax(pulls))
+        if pulls[worst] > cfg.aggregation_tau + 1e-9:
+            raise RunError(
+                f"clipped aggregation moved node {honest[worst]} by"
+                f" {pulls[worst]:.3e}, beyond tau={cfg.aggregation_tau}")
+    if not robust and len(honest) == len(problem.nodes):
+        drift = float(np.max(np.abs((new - halves).sum(axis=0)))) / len(new)
         if drift > 1e-12:
             raise RunError(f"aggregation moved the network mean by {drift:.3e}")
     return new
@@ -335,17 +377,22 @@ def _eval_noise_for(problem: Problem, noise: NoiseModel) -> NoiseModel:
 
 def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,
                   rnd: int) -> ScoreReport:
-    """Score1/2/3 for one node's parameters under its own noise model."""
+    """Score1/2/3 for one node's parameters under its own noise model.
+
+    The node's sets are blocks of the global ones, so one simulation of the
+    global sets serves all three scores.
+    """
     cfg = problem.config
     noise = _eval_noise_for(problem, node.noise)
     rng = (derived_rng(cfg.run_seed, TAG_SHOTS, node.node_id, rnd)
            if noise.shots is not None else None)
-    s1 = learn.score(problem.spec, theta, node.train, node.test, noise,
-                     cfg.ridge_lam, rng=rng)
-    s2 = learn.score(problem.spec, theta, node.train, problem.global_test,
-                     noise, cfg.ridge_lam, rng=rng)
-    s3 = learn.score(problem.spec, theta, problem.global_train,
-                     problem.global_test, noise, cfg.ridge_lam, rng=rng)
+    every_train = range(len(problem.global_train))
+    every_test = range(len(problem.global_test))
+    s1, s2, s3 = learn.score(
+        problem.spec, theta, problem.global_train, problem.global_test, noise,
+        cfg.ridge_lam, rng=rng,
+        splits=[(node.train_rows, node.test_rows), (node.train_rows, every_test),
+                (every_train, every_test)])
     return ScoreReport(node=node.node_id, score1=s1, score2=s2, score3=s3)
 
 
@@ -377,13 +424,13 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
     records: list[RoundRecord] = []
     evals: list[EvalPoint] = []
     final_round = cfg.run_budget - 1
+    schedule = _subsample_schedule(problem, cfg.run_budget)
     for rnd in range(cfg.run_budget):
-        halves, metrics = _half_steps(problem, thetas, rnd)
+        halves, metrics = _half_steps(problem, thetas, schedule[rnd])
         if mode == "decentralized":
             thetas = _exchange(problem, thetas, halves, rnd)
         else:
-            for node in problem.nodes:
-                thetas[node.node_id] = halves[node.node_id]
+            thetas = halves
         consensus = (dnet.consensus_distance(thetas)
                      if len(problem.nodes) >= 2 else 0.0)
         for node in problem.nodes:
@@ -397,7 +444,7 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
             ))
         gnorms = [m[2] for m in metrics if m is not None]
         done = (rnd == cfg.run_budget - 1
-                or float(np.mean(gnorms)) < cfg.run_g_thresh)
+                or math.fsum(gnorms) / len(gnorms) < cfg.run_g_thresh)
         if rnd % cfg.run_eval_every == 0 or done:
             evals.append(_evaluate(problem, thetas, rnd))
         if done:

@@ -339,10 +339,12 @@ def test_criterion_06_matches_centralized_on_shared_data():
     init_shared = all(np.array_equal(thetas_dec[i], thetas_cen[0])
                       for i in range(4))
     worst = 0.0
+    batches_dec = runner._subsample_schedule(prob_dec, 10)
+    batches_cen = runner._subsample_schedule(prob_cen, 10)
     for rnd in range(10):
-        halves_dec, _ = runner._half_steps(prob_dec, thetas_dec, rnd)
+        halves_dec, _ = runner._half_steps(prob_dec, thetas_dec, batches_dec[rnd])
         thetas_dec = runner._exchange(prob_dec, thetas_dec, halves_dec, rnd)
-        halves_cen, _ = runner._half_steps(prob_cen, thetas_cen, rnd)
+        halves_cen, _ = runner._half_steps(prob_cen, thetas_cen, batches_cen[rnd])
         thetas_cen = np.stack(halves_cen)
         dev = float(np.max(np.abs(thetas_dec.mean(axis=0) - thetas_cen[0])))
         worst = max(worst, dev)

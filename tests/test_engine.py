@@ -79,6 +79,32 @@ def test_feature_states_accept_per_row_theta():
         assert np.max(np.abs(stacked[i] - single[0])) < 1e-14
 
 
+def test_feature_states_in_row_blocks_match_single_rows():
+    rng = np.random.default_rng(47)
+    spec = FeatureMapSpec(n_qubits=6, layers=2)
+    noise = NoiseModel(mode="per_gate", p=0.01)
+    b = 40
+    assert b > 2 * engine._block_rows(spec.n_qubits)  # three blocks or more
+    x = random_batch(rng, b)
+    cost = rng.normal(size=(b, 4**spec.n_qubits))
+    shared = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    per_row = rng.uniform(-np.pi, np.pi, size=(b, spec.n_params))
+    for theta in (shared, per_row):
+        states, tapes = engine.feature_states(spec, theta, x, noise, record_tape=True)
+        grad = engine.backward(spec, noise, tapes, cost, per_element=True)
+        for i in range(b):
+            row_theta = theta if theta.ndim == 1 else theta[i]
+            single, single_tapes = engine.feature_states(
+                spec, row_theta, x[i : i + 1], noise, record_tape=True)
+            assert np.array_equal(states[i], single[0])
+            for tape, single_tape in zip(tapes, single_tapes):
+                assert np.array_equal(tape.sigma[i], single_tape.sigma[0])
+                assert np.array_equal(tape.wall[i], single_tape.wall[0])
+            single_grad = engine.backward(spec, noise, single_tapes,
+                                          cost[i : i + 1], per_element=True)
+            assert np.max(np.abs(grad[i] - single_grad[0])) < 1e-12
+
+
 def test_feature_states_validate_theta_shape():
     spec = FeatureMapSpec(n_qubits=2, layers=2)
     x = np.zeros((3, 2))

@@ -76,7 +76,7 @@ def test_alignment_grad_weights_match_finite_difference():
     rng = np.random.default_rng(11)
     k = random_psd_gram(rng, 5)
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])  # unbalanced is fine here
-    a, w = learn.alignment_grad_weights(k, y)
+    a, w = engine._alignment_weights(k, y)
     assert abs(a - learn.alignment(k, y)) < 1e-14
     h = 1e-7
     for i in range(5):
@@ -249,6 +249,37 @@ def test_score_with_shots_needs_rng():
         rng=np.random.default_rng(1),
     )
     assert 0.0 <= acc <= 1.0
+
+
+def reference_score(spec, theta, train, test, noise, lam, rng):
+    """Ridge accuracy step by step; shots sample the train Gram first."""
+    k_train, k_cross = engine.train_test_grams(spec, theta, train.x, test.x, noise)
+    if noise.shots is not None:
+        k_train = learn._shot_sampled_symmetric(k_train, noise.shots, rng)
+        k_cross = qkernel.shot_sample(k_cross, noise.shots, rng)
+    model = learn.fit_ridge(k_train, train.y, lam)
+    return float(np.mean(learn.predict(model, k_cross) == test.y))
+
+
+def test_score_splits_match_separate_calls_on_subsets():
+    rng = np.random.default_rng(29)
+    spec = FeatureMapSpec(n_qubits=3, layers=2)
+    train, test = small_dataset(rng, 12), small_dataset(rng, 10)
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    splits = [(range(0, 6), range(0, 5)), (range(0, 6), range(10)),
+              ([1, 3, 5, 7, 9, 11], [0, 2, 4, 6]), (range(12), range(10))]
+    for shots in (None, 8):
+        noise = NoiseModel(mode="per_gate", p=0.01, shots=shots)
+        rngs = [np.random.default_rng(7) if shots else None for _ in range(3)]
+        got = learn.score(spec, theta, train, test, noise, 0.1, rng=rngs[0],
+                          splits=splits)
+        apart = [learn.score(spec, theta, train.subset(tr), test.subset(te),
+                             noise, 0.1, rng=rngs[1]) for tr, te in splits]
+        steps = [reference_score(spec, theta, train.subset(tr), test.subset(te),
+                                 noise, 0.1, rngs[2]) for tr, te in splits]
+        assert got == apart == steps
+        if shots:  # the same draws, in the same order
+            assert rngs[0].random() == rngs[1].random() == rngs[2].random()
 
 
 def test_score_rejects_empty_sets():

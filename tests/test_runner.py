@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qknet import dnet, runner
+from qknet import dnet, learn, runner
 from qknet.config import ExperimentConfig
 from qknet.qkernel import NoiseModel
 
@@ -181,13 +181,78 @@ def test_clipped_aggregation_stays_within_tau():
     )
     problem = runner.prepare_problem(cfg, "decentralized")
     thetas = runner._init_thetas(problem)
-    halves, _ = runner._half_steps(problem, thetas, 0)
+    halves, _ = runner._half_steps(problem, thetas,
+                                   runner._subsample_schedule(problem, 1)[0])
     new = runner._exchange(problem, thetas, halves, 0)
     for node in problem.nodes:
         if node.role == dnet.HONEST:
             pull = np.linalg.norm(new[node.node_id] - halves[node.node_id])
             assert pull <= 0.05 + 1e-9
     runner.run_decentralized(cfg)  # full loop passes its internal checks
+
+
+def test_exchange_safety_checks_fire(monkeypatch):
+    problem = runner.prepare_problem(tiny_config(), "decentralized")
+    thetas = runner._init_thetas(problem)
+    batches = runner._subsample_schedule(problem, 1)[0]
+    halves, _ = runner._half_steps(problem, thetas, batches)
+    runner._exchange(problem, thetas, halves, 0)
+    plain = dnet.aggregate_plain
+    monkeypatch.setattr(dnet, "aggregate_plain",
+                        lambda msgs, w: plain(msgs, w) + 1e-6)
+    with pytest.raises(runner.RunError, match="moved the network mean"):
+        runner._exchange(problem, thetas, halves, 0)
+    monkeypatch.undo()
+
+    cfg = tiny_config(
+        nodes_roles=("honest", "honest", "signflip_attacker", "honest"),
+        aggregation_rule="robust_clip", aggregation_tau=0.05, init_scale=0.5)
+    problem = runner.prepare_problem(cfg, "decentralized")
+    thetas = runner._init_thetas(problem)
+    batches = runner._subsample_schedule(problem, 1)[0]
+    halves, _ = runner._half_steps(problem, thetas, batches)
+    runner._exchange(problem, thetas, halves, 0)
+    monkeypatch.setattr(dnet, "clip", lambda v, tau: 2.0 * np.asarray(v, float))
+    with pytest.raises(runner.RunError, match="beyond tau"):
+        runner._exchange(problem, thetas, halves, 0)
+
+
+def test_subsample_schedule_matches_per_round_draws():
+    cfg = tiny_config(nodes_noise_p=(0.0005, 0.05, 0.0005, 0.0005),
+                      nodes_subsample=(3,))
+    problem = runner.prepare_problem(cfg, "decentralized")
+    schedule = runner._subsample_schedule(problem, 4)
+    assert len(schedule) == 4
+    for rnd, batches in enumerate(schedule):
+        assert [b.ids for b in batches] == [[0, 2, 3], [1]]
+        for batch in batches:
+            for i, x, y in zip(batch.ids, batch.xs, batch.ys):
+                train = problem.nodes[i].train
+                idx = runner.derived_rng(0, runner.TAG_SUBSAMPLE, i, rnd).choice(
+                    len(train), size=3, replace=False)
+                assert np.array_equal(x, train.x[idx])
+                assert np.array_equal(y, train.y[idx])
+
+
+def test_evaluate_node_matches_separate_score_calls():
+    for shots in (0, 64):
+        cfg = tiny_config(data_points_per_cell=4, eval_shots=shots)
+        problem = runner.prepare_problem(cfg, "decentralized")
+        thetas = runner._init_thetas(problem)
+        for node in problem.nodes:
+            assert np.array_equal(problem.global_train.x[node.train_rows], node.train.x)
+            assert np.array_equal(problem.global_test.x[node.test_rows], node.test.x)
+            theta = thetas[node.node_id]
+            report = runner.evaluate_node(problem, node, theta, 3)
+            noise = runner._eval_noise_for(problem, node.noise)
+            rng = (runner.derived_rng(0, runner.TAG_SHOTS, node.node_id, 3)
+                   if shots else None)
+            want = [learn.score(problem.spec, theta, train, test, noise,
+                                cfg.ridge_lam, rng=rng)
+                    for train, test in ((node.train, node.test),
+                                        (node.train, problem.global_test),
+                                        (problem.global_train, problem.global_test))]
+            assert [report.score1, report.score2, report.score3] == want
 
 
 def test_shot_based_evaluation_is_seeded():
