@@ -27,9 +27,10 @@ def trajectory(rule):
     norms = [float(np.linalg.norm(thetas[0]))]
     pulls = []
     schedule = runner._subsample_schedule(prob, ROUNDS)
+    neighbors = runner._neighbor_lists(prob)
     for rnd in range(ROUNDS):
         halves, _ = runner._half_steps(prob, thetas, schedule[rnd])
-        mixed = runner._exchange(prob, thetas, halves, rnd)
+        mixed = runner._exchange(prob, thetas, halves, rnd, neighbors)
         pulls.append(max(float(np.linalg.norm(mixed[i] - halves[i]))
                          for i in HONEST))
         thetas = mixed

@@ -24,6 +24,16 @@ H, RZ and RY move past the rest of the wall and merge into one at the rate
 1 - (1 - p)^3. CNOT does not commute with local depolarizing, so the ring
 noise keeps its place between the CNOTs.
 
+Memory layout: every (rows, 4^n) array of the forward pass and the reverse
+sweep is C-ordered and written in place. The wall reads its input as a
+transposed (rows, 4^(n-1), 4) view, which BLAS takes without a copy only
+when the rows are C-ordered; `c[:, src]` would return a Fortran-ordered
+array, so the gather is `take(..., out=buf, mode="clip")` into a C-ordered
+scratch row block. The default mode="raise" buffers `out` and copies it
+back; "clip" writes straight into it and never changes an index, since
+`src` is a permutation. Each call allocates its own scratch, states and tape
+arrays, so tapes from two calls never share memory.
+
 Gradients come from one reverse sweep per batch (adjoint-state method; Jones
 & Gacon, arXiv:2009.02823) instead of per-parameter shifted evaluations. Both
 routes are cross-checked in the test suite; the parameter-shift rule stays
@@ -102,18 +112,32 @@ def _layer_gather(n: int, p_gate: float, p_wall: float):
     return out
 
 
-def _wall_ptms(
-    spec: FeatureMapSpec, theta_layer: np.ndarray, x: np.ndarray, assign
-) -> np.ndarray:
-    """(B, n, 4, 4) Pauli transfer matrices of one RY(theta) RZ(x_f) H wall.
+@lru_cache(maxsize=16)
+def _zero_state(n: int) -> np.ndarray:
+    """|0..0><0..0| as a read-only Pauli vector: c = 1 on the I/Z strings."""
+    strings = np.arange(4**n)
+    zero = np.all([_digit(strings, q, n) % 3 == 0 for q in range(n)], axis=0).astype(float)
+    zero.setflags(write=False)
+    return zero
 
-    ``theta_layer`` is (n,) shared or (B, n) per element. Rows are the output
-    letters I, X, Y, Z; the identity letter is fixed.
+
+def _wall_ptms(
+    spec: FeatureMapSpec, theta: np.ndarray, x: np.ndarray, assign
+) -> np.ndarray:
+    """(L, B, n, 4, 4) Pauli transfer matrices of every RY(theta) RZ(x_f) H wall.
+
+    ``theta`` is (T,) shared or (B, T) per row. Rows of each 4x4 matrix are
+    the output letters I, X, Y, Z; the identity letter is fixed.
     """
+    layers, n = spec.layers, spec.n_qubits
     z = x[:, list(assign)]
     cz, sz = np.cos(z), np.sin(z)
-    ct, st = np.cos(theta_layer), np.sin(theta_layer)
-    m = np.zeros(z.shape + (4, 4))
+    if theta.ndim == 1:
+        theta = theta.reshape(layers, 1, n)
+    else:
+        theta = theta.reshape(-1, layers, n).swapaxes(0, 1)
+    ct, st = np.cos(theta), np.sin(theta)
+    m = np.zeros((layers,) + z.shape + (4, 4))
     m[..., _I, _I] = 1.0
     m[..., _X, _X] = st
     m[..., _X, _Y] = ct * sz
@@ -126,18 +150,28 @@ def _wall_ptms(
     return m
 
 
-def _apply_wall(c: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Apply one 4x4 matrix per row and wire, ``mats`` being (B, n, 4, 4).
+def _apply_wall(c: np.ndarray, mats: np.ndarray, out: np.ndarray,
+                tmp: np.ndarray) -> None:
+    """Write into ``out`` the wall of one 4x4 matrix per row and wire.
 
-    Each step contracts the leading digit and writes it as the trailing one,
-    so after n steps the digits are back in their original order. Both
-    operands are transposed views, which BLAS takes without a copy.
+    ``mats`` is (B, n, 4, 4) and ``tmp`` two (B, 4**n) scratch rows; ``c``,
+    ``out`` and ``tmp`` must not overlap. Each step contracts the leading
+    digit and writes it as the trailing one, so after n steps the digits are
+    back in their original order. Every operand is a C-ordered array or a
+    transposed view of one, which BLAS takes without a copy.
     """
-    b = c.shape[0]
-    for q in range(mats.shape[1]):
-        c = np.matmul(c.reshape(b, 4, -1).swapaxes(1, 2), mats[:, q].swapaxes(1, 2))
-        c = c.reshape(b, -1)
-    return c
+    b, n = c.shape[0], mats.shape[1]
+    for q in range(n):
+        dst = out if q == n - 1 else tmp[q % 2]
+        np.matmul(c.reshape(b, 4, -1).swapaxes(1, 2), mats[:, q].swapaxes(1, 2),
+                  out=dst.reshape(b, -1, 4))
+        c = dst
+
+
+def _gather(c: np.ndarray, src: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
+    """out <- s * c[:, src], written in place; ``src`` is a permutation."""
+    c.take(src, axis=1, out=out, mode="clip")
+    np.multiply(out, s, out=out)
 
 
 @dataclass
@@ -153,23 +187,12 @@ def _noise_rates(noise: NoiseModel) -> tuple[float, float]:
     return 0.0, 0.0
 
 
-def _theta_layer(theta: np.ndarray, layer: int, n: int) -> np.ndarray:
-    if theta.ndim == 1:
-        return theta[layer * n : (layer + 1) * n]
-    return theta[:, layer * n : (layer + 1) * n]
-
-
 def _check_theta(spec: FeatureMapSpec, theta: np.ndarray, b: int) -> None:
     if theta.shape != (spec.n_params,) and theta.shape != (b, spec.n_params):
         raise ValueError(
             f"theta must have shape ({spec.n_params},) or ({b}, {spec.n_params}),"
             f" got {theta.shape}"
         )
-
-
-def _joined(blocks: list[np.ndarray]) -> np.ndarray:
-    """Row blocks as one array; a single block is returned without a copy."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _block_rows(n: int) -> int:
@@ -195,32 +218,38 @@ def feature_states(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     b = x.shape[0]
     _check_theta(spec, theta, b)
-    n = spec.n_qubits
+    n, layers = spec.n_qubits, spec.layers
     assign = spec.feature_assignment(x.shape[1])
     src, s, _, _ = _layer_gather(n, *_noise_rates(noise))
 
-    strings = np.arange(4**n)  # |0..0><0..0| has c = 1 on the I/Z strings
-    zero = np.all([_digit(strings, q, n) % 3 == 0 for q in range(n)], axis=0).astype(float)
-    states = []
-    sigmas = [[] for _ in range(spec.layers)]
-    walls = [[] for _ in range(spec.layers)]
+    zero = _zero_state(n)
+    states = np.empty((b, zero.size))
+    step = min(_block_rows(n), b) or 1
+    # two wall temporaries, the gather output and, without a tape, the wall
+    # output. The sizes of these per-call arrays decide whether glibc keeps
+    # the freed heap: a variant that gathered straight into `states` made it
+    # trim after every call, at 96,000 page faults per `ring_train` repetition.
+    scratch = np.empty((3 if record_tape else 4, step, zero.size))
+    if record_tape:
+        sigma = np.empty((layers, b, zero.size))
+        walls = np.empty((layers, b, n, 4, 4))
 
-    step = _block_rows(n)
     for lo in range(0, b, step):
-        rows = slice(lo, min(lo + step, b))
-        block_theta = theta if theta.ndim == 1 else theta[rows]
-        c = np.broadcast_to(zero, (rows.stop - lo, strings.size))
-        for layer in range(spec.layers):
-            mats = _wall_ptms(spec, _theta_layer(block_theta, layer, n), x[rows], assign)
-            c = _apply_wall(c, mats)
-            if record_tape:
-                sigmas[layer].append(c)
-                walls[layer].append(mats)
-            c = s * c[:, src]
-        states.append(c)
-    tapes = [LayerTape(sigma=_joined(sig), wall=_joined(w))
-             for sig, w in zip(sigmas, walls)] if record_tape else None
-    return _joined(states), tapes
+        hi = min(lo + step, b)
+        tmp, buf = scratch[:2, : hi - lo], scratch[2, : hi - lo]
+        mats = _wall_ptms(spec, theta if theta.ndim == 1 else theta[lo:hi],
+                          x[lo:hi], assign)
+        if record_tape:
+            walls[:, lo:hi] = mats
+        c = np.broadcast_to(zero, buf.shape)
+        for layer in range(layers):
+            wall_out = sigma[layer, lo:hi] if record_tape else scratch[3, : hi - lo]
+            _apply_wall(c, mats[layer], wall_out, tmp)
+            c = states[lo:hi] if layer == layers - 1 else buf
+            _gather(wall_out, src, s, c)
+    tapes = [LayerTape(sigma=sigma[layer], wall=walls[layer])
+             for layer in range(layers)] if record_tape else None
+    return states, tapes
 
 
 def gram_from_states(states_a: np.ndarray, states_b: np.ndarray | None = None):
@@ -252,20 +281,22 @@ def backward(
     if len(tapes) != spec.layers:
         raise ValueError("tape does not match the circuit depth")
     _, _, inv, s_inv = _layer_gather(n, *_noise_rates(noise))
-    lam = np.asarray(cost_ops, dtype=float)
+    lam = np.array(cost_ops, dtype=float, order="C")
     b = lam.shape[0]
+    buf = np.empty_like(lam)
+    tmp = np.empty((2,) + lam.shape)
     grad = np.zeros((b, spec.n_params))
     for layer in range(spec.layers - 1, -1, -1):
-        lam = s_inv * lam[:, inv]
+        _gather(lam, inv, s_inv, buf)
         tape = tapes[layer]
         for q in range(n):
-            lv = lam.reshape(b, 4**q, 4, -1)
+            lv = buf.reshape(b, 4**q, 4, -1)
             sv = tape.sigma.reshape(b, 4**q, 4, -1)
             grad[:, layer * n + q] = (
                 np.einsum("blr,blr->b", lv[:, :, _X], sv[:, :, _Z])
                 - np.einsum("blr,blr->b", lv[:, :, _Z], sv[:, :, _X])
             )
-        lam = _apply_wall(lam, tape.wall.swapaxes(2, 3))
+        _apply_wall(buf, tape.wall.swapaxes(2, 3), lam, tmp)
     return grad if per_element else grad.sum(axis=0)
 
 

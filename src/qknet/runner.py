@@ -45,7 +45,6 @@ TAG_SUBSAMPLE = 3
 TAG_ATTACK = 4
 TAG_SHOTS = 5
 
-DEFAULT_METRIC = "mean_model_accuracy"
 ROUND_KEYS = ("round", "node", "loss", "alignment", "grad_norm", "consensus_dist")
 
 
@@ -260,7 +259,7 @@ class _GroupBatch:
 
     noise: NoiseModel
     ids: list[int]
-    etas: np.ndarray  # (len(ids), 1) step sizes
+    etas: list[float]
     xs: list[np.ndarray]
     ys: list[np.ndarray]
 
@@ -276,24 +275,24 @@ def _subsample_schedule(problem: Problem, rounds: int) -> list[tuple[_GroupBatch
     for node in problem.nodes:
         if node.role == dnet.HONEST:
             groups.setdefault(node.noise, []).append(node.node_id)
-    etas = {noise: np.array([[problem.nodes[i].eta] for i in ids])
+    etas = {noise: [problem.nodes[i].eta for i in ids]
             for noise, ids in groups.items()}
     seed = problem.config.run_seed
-    schedule = []
-    for rnd in range(rounds):
-        batches = []
-        for noise, ids in groups.items():
-            xs, ys = [], []
-            for i in ids:
-                train = problem.nodes[i].train
-                q = min(problem.nodes[i].subsample, len(train))
-                idx = derived_rng(seed, TAG_SUBSAMPLE, i, rnd).choice(
+    picks = {}  # node -> (x, y) of every round's subsample, (rounds, q, ...)
+    for ids in groups.values():
+        for i in ids:
+            train = problem.nodes[i].train
+            q = min(problem.nodes[i].subsample, len(train))
+            idx = np.empty((rounds, q), dtype=np.intp)
+            for rnd in range(rounds):
+                idx[rnd] = derived_rng(seed, TAG_SUBSAMPLE, i, rnd).choice(
                     len(train), size=q, replace=False)
-                xs.append(train.x[idx])
-                ys.append(train.y[idx])
-            batches.append(_GroupBatch(noise, ids, etas[noise], xs, ys))
-        schedule.append(tuple(batches))
-    return schedule
+            picks[i] = (train.x[idx], train.y[idx])
+    return [tuple(_GroupBatch(noise, ids, etas[noise],
+                              [picks[i][0][rnd] for i in ids],
+                              [picks[i][1][rnd] for i in ids])
+                  for noise, ids in groups.items())
+            for rnd in range(rounds)]
 
 
 def _half_steps(problem: Problem, thetas: np.ndarray,
@@ -307,28 +306,36 @@ def _half_steps(problem: Problem, thetas: np.ndarray,
     halves = thetas.copy()
     metrics: list[tuple[float, float, float] | None] = [None] * len(problem.nodes)
     for batch in batches:
-        own = thetas[batch.ids]
         values, grads = engine.multi_alignment_grads(
-            problem.spec, own, batch.xs, batch.ys, batch.noise)
-        halves[batch.ids] = own + batch.etas * grads
-        for pos, i in enumerate(batch.ids):
-            g = grads[pos]
-            metrics[i] = (-values[pos], values[pos], math.sqrt(float(g @ g)))
+            problem.spec, thetas[batch.ids], batch.xs, batch.ys, batch.noise)
+        # row by row: right after the simulation one fancy-indexed update
+        # costs more than these few basic-indexed ones
+        for i, eta, a, g in zip(batch.ids, batch.etas, values, grads):
+            halves[i] += eta * g
+            metrics[i] = (-a, a, math.sqrt(float(g @ g)))
     return halves, metrics
 
 
-def _exchange(problem: Problem, thetas: np.ndarray, halves: np.ndarray, rnd: int):
-    """One message exchange plus aggregation; returns the next parameters."""
+def _neighbor_lists(problem: Problem) -> list[list[int]]:
+    """Every node's neighbours, read once per run rather than every round."""
+    return [problem.topology.neighbors(i) for i in range(len(problem.nodes))]
+
+
+def _exchange(problem: Problem, thetas: np.ndarray, halves: np.ndarray, rnd: int,
+              neighbors: list[list[int]]):
+    """One message exchange plus aggregation; returns the next parameters.
+
+    ``neighbors`` is ``_neighbor_lists(problem)``.
+    """
     cfg = problem.config
-    top, w = problem.topology, problem.weights
-    broadcast = {}
+    w = problem.weights
+    broadcast = list(halves)
     for node in problem.nodes:
-        i = node.node_id
         if node.role == dnet.HONEST:
-            broadcast[i] = halves[i]
             continue
+        i = node.node_id
         # a fellow attacker's row of `halves` is its last stored state
-        received = [halves[j] for j in top.neighbors(i)]
+        received = [halves[j] for j in neighbors[i]]
         if node.role == dnet.GAUSSIAN_ATTACKER:
             rng = derived_rng(cfg.run_seed, TAG_ATTACK, i, rnd)
             broadcast[i] = dnet.attack_gaussian(received, rng)
@@ -344,7 +351,7 @@ def _exchange(problem: Problem, thetas: np.ndarray, halves: np.ndarray, rnd: int
             new[i] = broadcast[i]
             continue
         honest.append(i)
-        msgs = {j: broadcast[j] for j in top.neighbors(i)}
+        msgs = {j: broadcast[j] for j in neighbors[i]}
         msgs[i] = halves[i]
         if robust:
             new[i] = dnet.aggregate_robust(
@@ -361,7 +368,7 @@ def _exchange(problem: Problem, thetas: np.ndarray, halves: np.ndarray, rnd: int
                 f"clipped aggregation moved node {honest[worst]} by"
                 f" {pulls[worst]:.3e}, beyond tau={cfg.aggregation_tau}")
     if not robust and len(honest) == len(problem.nodes):
-        drift = float(np.max(np.abs((new - halves).sum(axis=0)))) / len(new)
+        drift = abs((new - halves).sum(axis=0)).max() / len(new)
         if drift > 1e-12:
             raise RunError(f"aggregation moved the network mean by {drift:.3e}")
     return new
@@ -421,82 +428,55 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
     """Drive the round loop for an assembled Problem."""
     cfg = problem.config
     thetas = _init_thetas(problem)
-    records: list[RoundRecord] = []
+    rounds = []  # (per-node metrics, consensus distance) of each round
     evals: list[EvalPoint] = []
-    final_round = cfg.run_budget - 1
     schedule = _subsample_schedule(problem, cfg.run_budget)
+    if mode == "decentralized":
+        neighbors = _neighbor_lists(problem)
     for rnd in range(cfg.run_budget):
         halves, metrics = _half_steps(problem, thetas, schedule[rnd])
         if mode == "decentralized":
-            thetas = _exchange(problem, thetas, halves, rnd)
+            thetas = _exchange(problem, thetas, halves, rnd, neighbors)
         else:
             thetas = halves
         consensus = (dnet.consensus_distance(thetas)
                      if len(problem.nodes) >= 2 else 0.0)
-        for node in problem.nodes:
-            m = metrics[node.node_id]
-            records.append(RoundRecord(
-                round=rnd, node=node.node_id,
-                loss=None if m is None else m[0],
-                alignment=None if m is None else m[1],
-                grad_norm=None if m is None else m[2],
-                consensus_dist=consensus,
-            ))
+        rounds.append((metrics, consensus))
         gnorms = [m[2] for m in metrics if m is not None]
         done = (rnd == cfg.run_budget - 1
                 or math.fsum(gnorms) / len(gnorms) < cfg.run_g_thresh)
         if rnd % cfg.run_eval_every == 0 or done:
             evals.append(_evaluate(problem, thetas, rnd))
         if done:
-            final_round = rnd
             break
-    iters = _first_crossing(tuple(evals), tuple(records), DEFAULT_METRIC,
-                            cfg.run_threshold)
+    # built after the loop: right after each engine call every operation
+    # runs on caches the simulation has just evicted
+    records = tuple(
+        RoundRecord(round=r, node=i,
+                    loss=None if m is None else m[0],
+                    alignment=None if m is None else m[1],
+                    grad_norm=None if m is None else m[2],
+                    consensus_dist=consensus)
+        for r, (metrics, consensus) in enumerate(rounds)
+        for i, m in enumerate(metrics))
+    iters = _first_crossing(tuple(evals), cfg.run_threshold)
     return RunResult(
-        mode=mode, config=cfg, thetas=thetas, records=tuple(records),
+        mode=mode, config=cfg, thetas=thetas, records=records,
         evals=tuple(evals), reports=evals[-1].reports,
-        iterations_to_threshold=iters, final_round=final_round,
+        iterations_to_threshold=iters, final_round=rnd,
     )
-
-
-def run_decentralized(config: ExperimentConfig) -> RunResult:
-    return run_problem(prepare_problem(config, "decentralized"), "decentralized")
-
-
-def run_centralized(config: ExperimentConfig) -> RunResult:
-    return run_problem(prepare_problem(config, "centralized"), "centralized")
-
-
-def run_local(config: ExperimentConfig) -> RunResult:
-    return run_problem(prepare_problem(config, "local"), "local")
 
 
 def run(config: ExperimentConfig, mode: str = "decentralized") -> RunResult:
     return run_problem(prepare_problem(config, mode), mode)
 
 
-def _first_crossing(evals, records, metric: str, threshold: float) -> int | None:
-    if metric == "mean_model_accuracy":
-        for point in evals:
-            if point.mean_model_accuracy >= threshold:
-                return point.round
-        return None
-    if metric == "mean_alignment":
-        by_round: dict[int, list[float]] = {}
-        for rec in records:
-            if rec.alignment is not None:
-                by_round.setdefault(rec.round, []).append(rec.alignment)
-        for rnd in sorted(by_round):
-            if float(np.mean(by_round[rnd])) >= threshold:
-                return rnd
-        return None
-    raise RunError(f"unknown metric {metric!r}")
-
-
-def iteration_to_threshold(result: RunResult, metric: str = DEFAULT_METRIC,
-                           threshold: float = 0.9) -> int | None:
-    """First evaluated round at which the metric reaches the threshold."""
-    return _first_crossing(result.evals, result.records, metric, threshold)
+def _first_crossing(evals, threshold: float) -> int | None:
+    """First evaluated round whose mean-model accuracy reaches the threshold."""
+    for point in evals:
+        if point.mean_model_accuracy >= threshold:
+            return point.round
+    return None
 
 
 def rounds_jsonl(result: RunResult) -> str:

@@ -105,6 +105,49 @@ def test_feature_states_in_row_blocks_match_single_rows():
             assert np.max(np.abs(grad[i] - single_grad[0])) < 1e-12
 
 
+def test_feature_states_arrays_are_c_ordered_and_owned_by_their_call():
+    rng = np.random.default_rng(53)
+    spec = FeatureMapSpec(n_qubits=5, layers=3)
+    noise = NoiseModel(mode="per_gate", p=0.01)
+    b = 2 * engine._block_rows(spec.n_qubits) + 3  # three blocks, the last short
+    theta = rng.uniform(-np.pi, np.pi, size=(b, spec.n_params))
+    states, tapes = engine.feature_states(
+        spec, theta, random_batch(rng, b), noise, record_tape=True)
+    assert states.flags.c_contiguous
+    for tape in tapes:
+        assert tape.sigma.flags.c_contiguous and tape.wall.flags.c_contiguous
+    kept = states.copy(), [(t.sigma.copy(), t.wall.copy()) for t in tapes]
+
+    other_x = random_batch(rng, b)
+    engine.feature_states(spec, theta[::-1], other_x, noise, record_tape=True)
+    engine.feature_states(spec, theta, other_x, noise)
+    assert np.array_equal(states, kept[0])
+    for tape, (sigma, wall) in zip(tapes, kept[1]):
+        assert np.array_equal(tape.sigma, sigma)
+        assert np.array_equal(tape.wall, wall)
+
+
+def test_backward_leaves_cost_and_tapes_unchanged():
+    rng = np.random.default_rng(59)
+    spec = FeatureMapSpec(n_qubits=3, layers=3)
+    noise = NoiseModel(mode="per_gate", p=0.01)
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    _, tapes = engine.feature_states(
+        spec, theta, random_batch(rng, 6), noise, record_tape=True)
+    cost = rng.normal(size=(6, 4**spec.n_qubits))
+    kept = cost.copy(), [(t.sigma.copy(), t.wall.copy()) for t in tapes]
+    grad = engine.backward(spec, noise, tapes, cost, per_element=True)
+    assert np.array_equal(cost, kept[0])
+    for tape, (sigma, wall) in zip(tapes, kept[1]):
+        assert np.array_equal(tape.sigma, sigma)
+        assert np.array_equal(tape.wall, wall)
+    # a second sweep over the same tapes, from a Fortran-ordered copy of the
+    # cost, gives the same gradient
+    again = engine.backward(spec, noise, tapes, np.asfortranarray(cost),
+                            per_element=True)
+    assert np.array_equal(grad, again)
+
+
 def test_feature_states_validate_theta_shape():
     spec = FeatureMapSpec(n_qubits=2, layers=2)
     x = np.zeros((3, 2))

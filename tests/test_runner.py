@@ -80,12 +80,12 @@ def test_modal_noise_prefers_the_common_model():
 
 def test_runs_are_bit_reproducible():
     cfg = tiny_config()
-    a = runner.run_decentralized(cfg)
-    b = runner.run_decentralized(cfg)
+    a = runner.run(cfg, "decentralized")
+    b = runner.run(cfg, "decentralized")
     assert runner.rounds_jsonl(a) == runner.rounds_jsonl(b)
     assert np.array_equal(a.thetas, b.thetas)
     assert runner.scores_json(a) == runner.scores_json(b)
-    c = runner.run_decentralized(tiny_config(run_seed=1))
+    c = runner.run(tiny_config(run_seed=1), "decentralized")
     assert runner.rounds_jsonl(a) != runner.rounds_jsonl(c)
 
 
@@ -100,7 +100,7 @@ def test_single_node_gossip_equals_centralized():
 
 def test_round_records_cover_every_node_and_round():
     cfg = tiny_config(run_budget=4)
-    result = runner.run_decentralized(cfg)
+    result = runner.run(cfg, "decentralized")
     assert result.final_round == 3
     assert len(result.records) == 4 * 4
     seen = {(r.round, r.node) for r in result.records}
@@ -113,7 +113,7 @@ def test_round_records_cover_every_node_and_round():
 
 def test_gossip_shrinks_consensus_distance():
     cfg = tiny_config(run_budget=10, init_scale=0.5)
-    result = runner.run_decentralized(cfg)
+    result = runner.run(cfg, "decentralized")
     first = result.records[0].consensus_dist
     last = result.records[-1].consensus_dist
     assert last < first
@@ -121,7 +121,7 @@ def test_gossip_shrinks_consensus_distance():
 
 def test_local_mode_never_mixes():
     cfg = tiny_config(run_budget=5, init_scale=0.5)
-    result = runner.run_local(cfg)
+    result = runner.run(cfg, "local")
     assert result.mode == "local"
     # without exchanges the nodes stay apart
     assert result.records[-1].consensus_dist > 0.01
@@ -130,15 +130,15 @@ def test_local_mode_never_mixes():
 
 
 def test_evaluation_cadence_includes_start_and_end():
-    result = runner.run_decentralized(tiny_config(run_budget=5, run_eval_every=2))
+    result = runner.run(tiny_config(run_budget=5, run_eval_every=2), "decentralized")
     assert [p.round for p in result.evals] == [0, 2, 4]
-    result = runner.run_decentralized(tiny_config(run_budget=4, run_eval_every=2))
+    result = runner.run(tiny_config(run_budget=4, run_eval_every=2), "decentralized")
     assert [p.round for p in result.evals] == [0, 2, 3]
 
 
 def test_gradient_threshold_stops_early():
     cfg = tiny_config(run_budget=50, run_g_thresh=100.0)
-    result = runner.run_decentralized(cfg)
+    result = runner.run(cfg, "decentralized")
     assert result.final_round == 0
     assert len(result.evals) == 1
 
@@ -148,7 +148,7 @@ def test_attackers_report_no_metrics():
         nodes_roles=("honest", "honest", "signflip_attacker", "honest"),
         run_budget=3,
     )
-    result = runner.run_decentralized(cfg)
+    result = runner.run(cfg, "decentralized")
     for rec in result.records:
         if rec.node == 2:
             assert rec.loss is None and rec.grad_norm is None
@@ -166,8 +166,8 @@ def test_gaussian_attacker_path_runs_deterministically():
         nodes_roles=("honest", "gaussian_attacker", "honest", "honest"),
         run_budget=3,
     )
-    a = runner.run_decentralized(cfg)
-    b = runner.run_decentralized(cfg)
+    a = runner.run(cfg, "decentralized")
+    b = runner.run(cfg, "decentralized")
     assert np.array_equal(a.thetas, b.thetas)
 
 
@@ -183,12 +183,13 @@ def test_clipped_aggregation_stays_within_tau():
     thetas = runner._init_thetas(problem)
     halves, _ = runner._half_steps(problem, thetas,
                                    runner._subsample_schedule(problem, 1)[0])
-    new = runner._exchange(problem, thetas, halves, 0)
+    new = runner._exchange(problem, thetas, halves, 0,
+                           runner._neighbor_lists(problem))
     for node in problem.nodes:
         if node.role == dnet.HONEST:
             pull = np.linalg.norm(new[node.node_id] - halves[node.node_id])
             assert pull <= 0.05 + 1e-9
-    runner.run_decentralized(cfg)  # full loop passes its internal checks
+    runner.run(cfg, "decentralized")  # full loop passes its internal checks
 
 
 def test_exchange_safety_checks_fire(monkeypatch):
@@ -196,12 +197,13 @@ def test_exchange_safety_checks_fire(monkeypatch):
     thetas = runner._init_thetas(problem)
     batches = runner._subsample_schedule(problem, 1)[0]
     halves, _ = runner._half_steps(problem, thetas, batches)
-    runner._exchange(problem, thetas, halves, 0)
+    neighbors = runner._neighbor_lists(problem)
+    runner._exchange(problem, thetas, halves, 0, neighbors)
     plain = dnet.aggregate_plain
     monkeypatch.setattr(dnet, "aggregate_plain",
                         lambda msgs, w: plain(msgs, w) + 1e-6)
     with pytest.raises(runner.RunError, match="moved the network mean"):
-        runner._exchange(problem, thetas, halves, 0)
+        runner._exchange(problem, thetas, halves, 0, neighbors)
     monkeypatch.undo()
 
     cfg = tiny_config(
@@ -211,10 +213,11 @@ def test_exchange_safety_checks_fire(monkeypatch):
     thetas = runner._init_thetas(problem)
     batches = runner._subsample_schedule(problem, 1)[0]
     halves, _ = runner._half_steps(problem, thetas, batches)
-    runner._exchange(problem, thetas, halves, 0)
+    neighbors = runner._neighbor_lists(problem)
+    runner._exchange(problem, thetas, halves, 0, neighbors)
     monkeypatch.setattr(dnet, "clip", lambda v, tau: 2.0 * np.asarray(v, float))
     with pytest.raises(runner.RunError, match="beyond tau"):
-        runner._exchange(problem, thetas, halves, 0)
+        runner._exchange(problem, thetas, halves, 0, neighbors)
 
 
 def test_subsample_schedule_matches_per_round_draws():
@@ -257,26 +260,21 @@ def test_evaluate_node_matches_separate_score_calls():
 
 def test_shot_based_evaluation_is_seeded():
     cfg = tiny_config(eval_shots=64, run_budget=2)
-    a = runner.run_decentralized(cfg)
-    b = runner.run_decentralized(cfg)
+    a = runner.run(cfg, "decentralized")
+    b = runner.run(cfg, "decentralized")
     assert runner.scores_json(a) == runner.scores_json(b)
     for p in a.evals:
         assert 0.0 <= p.mean_model_accuracy <= 1.0
 
 
 def test_iteration_to_threshold_metrics():
-    result = runner.run_decentralized(tiny_config(run_budget=4))
-    assert runner.iteration_to_threshold(result, threshold=0.0) == 0
-    assert runner.iteration_to_threshold(result, threshold=2.0) is None
-    align0 = runner.iteration_to_threshold(
-        result, metric="mean_alignment", threshold=-10.0)
-    assert align0 == 0
-    with pytest.raises(runner.RunError):
-        runner.iteration_to_threshold(result, metric="median_accuracy")
+    result = runner.run(tiny_config(run_budget=4), "decentralized")
+    assert runner._first_crossing(result.evals, threshold=0.0) == 0
+    assert runner._first_crossing(result.evals, threshold=2.0) is None
 
 
 def test_rounds_jsonl_schema():
-    result = runner.run_decentralized(tiny_config(run_budget=2))
+    result = runner.run(tiny_config(run_budget=2), "decentralized")
     text = runner.rounds_jsonl(result)
     assert text.endswith("\n")
     lines = text.strip().split("\n")
@@ -288,7 +286,7 @@ def test_rounds_jsonl_schema():
 
 def test_scores_json_echoes_config():
     cfg = tiny_config(run_budget=2, run_threshold=0.5)
-    result = runner.run_decentralized(cfg)
+    result = runner.run(cfg, "decentralized")
     doc = runner.scores_json(result)
     assert doc["mode"] == "decentralized"
     assert doc["seed"] == 0
