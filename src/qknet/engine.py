@@ -4,10 +4,11 @@
 is the readable reference path. Training loops need thousands of kernel
 entries per round, so this module simulates the forward feature map for a
 whole batch of data points at once and derives kernel matrices from the
-Hilbert-Schmidt inner products K(x, x') = Tr[rho(x) rho(x')]. With mirrored
-adjoint-noise placement (the default `NoiseModel`) that identity is exact:
-the uncompute half is the channel adjoint of the compute half, so its
-adjoint-propagated projector equals the forward state of the other point.
+Hilbert-Schmidt inner products K(x, x') = Tr[rho(x) rho(x')]. The identity
+is exact under every `NoiseModel`, because the per-gate channels of the
+uncompute half mirror those of the compute half: the uncompute half is the
+channel adjoint of the compute half, so its adjoint-propagated projector
+equals the forward state of the other point.
 
 Each state is its real vector of 4^n Pauli coefficients c_P = Tr[rho P] over
 the strings P in {I, X, Y, Z}^n, qubit 0 being the most significant base-4
@@ -269,7 +270,8 @@ def backward(
     """Gradient of sum_b lam_b . c_b(theta) for (B, 4**n) real cost vectors.
 
     ``tapes`` must come from a forward pass with the same noise model. The
-    costate is pulled back through each layer's transposed gather and wall.
+    costate is pulled back through each layer's transposed gather and wall;
+    the first layer's wall is skipped, since nothing reads its result.
     RY on wire q generates Z -> X and X -> -Z, so at its wall theta_q
     contributes sum lam[X on q] sigma[Z on q] - lam[Z on q] sigma[X on q].
     The global analytic map is an affine rescale the caller applies to the
@@ -296,16 +298,15 @@ def backward(
                 np.einsum("blr,blr->b", lv[:, :, _X], sv[:, :, _Z])
                 - np.einsum("blr,blr->b", lv[:, :, _Z], sv[:, :, _X])
             )
-        _apply_wall(buf, tape.wall.swapaxes(2, 3), lam, tmp)
+        if layer:
+            _apply_wall(buf, tape.wall.swapaxes(2, 3), lam, tmp)
     return grad if per_element else grad.sum(axis=0)
 
 
 def pair_kernel_grad(
     spec: FeatureMapSpec, theta, x1, x2, noise: NoiseModel
 ) -> tuple[float, np.ndarray]:
-    """(K(x1, x2), dK/dtheta) through the state-overlap route (mirror only)."""
-    if noise.adjoint_noise != "mirror":
-        raise ValueError("state-overlap gradients need mirrored adjoint noise")
+    """(K(x1, x2), dK/dtheta) through the state-overlap route."""
     if noise.shots is not None:
         raise ValueError("gradients require expectation values")
     x = np.vstack([np.asarray(x1, float), np.asarray(x2, float)])
@@ -324,27 +325,13 @@ def _affine_global(k: np.ndarray, noise: NoiseModel, dim: int) -> np.ndarray:
     return k
 
 
-def _reference_gram(spec, theta, xa, xb, noise) -> np.ndarray:
-    from . import qkernel
-
-    out = np.empty((xa.shape[0], xb.shape[0]))
-    for i in range(xa.shape[0]):
-        for j in range(xb.shape[0]):
-            out[i, j] = qkernel.kernel_eval(spec, theta, xa[i], xb[j], noise)
-    return out
-
-
 def gram_matrix(spec: FeatureMapSpec, theta, x, noise: NoiseModel) -> np.ndarray:
     """Full Gram matrix, diagonal included, as exact expectation values.
 
-    The state-overlap route covers exact, global, and mirrored per-gate
-    noise; the "after" adjoint placement breaks the overlap identity, so it
-    falls back to the gate-by-gate reference evaluator.
+    One forward simulation and the state overlaps serve every noise mode,
+    since per-gate noise is always mirrored in the uncompute half.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if noise.mode == "per_gate" and noise.adjoint_noise != "mirror":
-        k = _reference_gram(spec, theta, x, x, noise)
-        return 0.5 * (k + k.T)
     states, _ = feature_states(spec, theta, x, noise)
     return _affine_global(gram_from_states(states), noise, spec.dim)
 
@@ -355,10 +342,6 @@ def train_test_grams(
     """(train Gram, test-against-train block) in one forward simulation."""
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     x_test = np.atleast_2d(np.asarray(x_test, dtype=float))
-    if noise.mode == "per_gate" and noise.adjoint_noise != "mirror":
-        k_train = _reference_gram(spec, theta, x_train, x_train, noise)
-        k_cross = _reference_gram(spec, theta, x_test, x_train, noise)
-        return 0.5 * (k_train + k_train.T), k_cross
     states, _ = feature_states(spec, theta, np.vstack([x_train, x_test]), noise)
     n = x_train.shape[0]
     k_train = gram_from_states(states[:n])
@@ -379,29 +362,6 @@ def _alignment_weights(k: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
     return a, w
 
 
-def alignment_and_grad(
-    spec: FeatureMapSpec, theta, x, y, noise: NoiseModel
-) -> tuple[float, np.ndarray]:
-    """Alignment of the dataset's Gram with y yT and its theta gradient.
-
-    One forward pass with tape, one reverse sweep: the dA/dK weights become
-    the cost vectors (2 / D) sum_j W_bj c_j, since each state enters the Gram
-    bilinearly.
-    """
-    if noise.mode == "per_gate" and noise.adjoint_noise != "mirror":
-        raise ValueError("state-overlap gradients need mirrored adjoint noise")
-    if noise.shots is not None:
-        raise ValueError("gradients require expectation values")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    states, tapes = feature_states(spec, theta, x, noise, record_tape=True)
-    k = _affine_global(gram_from_states(states), noise, spec.dim)
-    a, w = _alignment_weights(k, y)
-    scale = (1.0 - noise.p) if noise.mode == "global" else 1.0
-    grad = backward(spec, noise, tapes, (2.0 * scale / spec.dim) * (w @ states))
-    return a, grad
-
-
 def multi_alignment_grads(
     spec: FeatureMapSpec, thetas, xs, ys, noise: NoiseModel
 ) -> tuple[list[float], np.ndarray]:
@@ -410,10 +370,10 @@ def multi_alignment_grads(
     ``thetas`` is (N, T); ``xs``/``ys`` list one data block per node. All
     nodes' rows share a single forward/backward pass, with each row carrying
     its node's parameters; per-node gradients are the row-sums of the
-    per-element sweep over that node's block.
+    per-element sweep over that node's block. Each node's alignment
+    gradient takes the dA/dK weights as the cost vectors
+    (2 / D) sum_j W_bj c_j, since each state enters the Gram bilinearly.
     """
-    if noise.mode == "per_gate" and noise.adjoint_noise != "mirror":
-        raise ValueError("state-overlap gradients need mirrored adjoint noise")
     if noise.shots is not None:
         raise ValueError("gradients require expectation values")
     thetas = np.asarray(thetas, dtype=float)

@@ -79,8 +79,9 @@ def loss_grad(dataset: LabeledDataset, theta, spec: qkernel.FeatureMapSpec,
     """Loss and its gradient; exact expectations only (no shot noise)."""
     if noise.shots is not None:
         raise LearnError("gradients require exact expectations, not shots")
-    val, grad = engine.alignment_and_grad(spec, theta, dataset.x, dataset.y, noise)
-    return -val, -grad
+    values, grads = engine.multi_alignment_grads(
+        spec, [theta], [dataset.x], [dataset.y], noise)
+    return -values[0], -grads[0]
 
 
 def noisy_alignment_grad_analytic(k: np.ndarray, dk: np.ndarray, p: float,

@@ -6,8 +6,9 @@ two points is the all-zeros outcome probability of the compute-uncompute
 interference circuit: run the map for x, then the adjoint of the map for x'.
 
 Noise is modeled three ways: exact (none), per-gate local depolarizing at rate
-p_tilde after every executed gate, or a global analytic map that mixes the
-exact kernel value toward 1/D at an effective rate p.
+p_tilde on the wires of every executed gate (after it in the compute half,
+mirrored before it in the uncompute half), or a global analytic map that
+mixes the exact kernel value toward 1/D at an effective rate p.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import qsim
 from .qsim import Gate
 
 NOISE_MODES = ("exact", "per_gate", "global")
-ADJOINT_NOISE_PLACEMENTS = ("mirror", "after")
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,15 @@ class NoiseModel:
 
     ``mode`` is one of exact / per_gate / global. ``p`` is the per-gate rate
     p_tilde in per_gate mode and the effective global rate in global mode.
-    ``shots`` switches the returned kernel to a sampled estimate. In noisy
-    modes ``adjoint_noise`` places the channels of the uncompute half either
-    mirrored (before each adjoint gate, making the half the exact channel
-    adjoint of the compute half) or after each gate like the forward half.
-    Mirrored placement is the default; it keeps the kernel exactly symmetric.
+    ``shots`` switches the returned kernel to a sampled estimate. Per-gate
+    channels follow each gate of the compute half and mirror it in the
+    uncompute half, preceding each adjoint gate, so the uncompute half is the
+    exact channel adjoint of the compute half and the kernel is symmetric.
     """
 
     mode: str = "exact"
     p: float = 0.0
     shots: int | None = None
-    adjoint_noise: str = "mirror"
 
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
@@ -91,10 +89,6 @@ class NoiseModel:
             raise ValueError("exact mode carries no noise rate")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be a positive count")
-        if self.adjoint_noise not in ADJOINT_NOISE_PLACEMENTS:
-            raise ValueError(
-                f"adjoint_noise must be one of {ADJOINT_NOISE_PLACEMENTS}"
-            )
 
 
 def effective_rate(p_tilde: float, layers: int) -> float:
@@ -167,45 +161,56 @@ def adjoint_gates(gates) -> list[Gate]:
     return [g.adjoint() for g in reversed(gates)]
 
 
-def _run_noisy(rho, gates, p_tilde: float, noise_before: bool):
-    for g in gates:
-        if noise_before:
-            for q in g.qubits:
-                rho = qsim.apply_depolarizing_local(rho, q, p_tilde)
-        rho = qsim.apply_gate(rho, g)
-        if not noise_before:
-            for q in g.qubits:
-                rho = qsim.apply_depolarizing_local(rho, q, p_tilde)
+def _interference_steps(
+    spec: FeatureMapSpec, theta_fwd, theta_adj, x1, x2
+) -> list[tuple[Gate, bool]]:
+    """Gates of [forward map for x1][adjoint map for x2], each flagged True
+    when it belongs to the uncompute half."""
+    fwd = build_circuit_gates(spec, theta_fwd, x1)
+    adj = adjoint_gates(build_circuit_gates(spec, theta_adj, x2))
+    return [(g, False) for g in fwd] + [(g, True) for g in adj]
+
+
+def _gate_noise_rate(noise: NoiseModel) -> float:
+    return noise.p if noise.mode == "per_gate" else 0.0
+
+
+def _depolarize(rho, gate: Gate, p: float):
+    for q in gate.qubits:
+        rho = qsim.apply_depolarizing_local(rho, q, p)
     return rho
 
 
-def _interference_value(
-    spec: FeatureMapSpec,
-    theta_fwd,
-    theta_adj,
-    x1,
-    x2,
-    noise: NoiseModel,
-) -> float:
-    """All-zeros probability of [forward map for x1][adjoint map for x2].
+def _run_steps(rho, steps, p: float):
+    """Apply each gate with depolarizing at rate ``p`` on its wires.
 
-    ``theta_fwd`` and ``theta_adj`` parameterize the two halves separately so
-    the parameter-shift rule can displace a single occurrence.
+    The channels follow each compute gate and precede each uncompute gate,
+    so the uncompute half is the exact channel adjoint of the compute half.
     """
-    rho = qsim.zero_state(spec.n_qubits)
-    fwd = build_circuit_gates(spec, theta_fwd, x1)
-    adj = adjoint_gates(build_circuit_gates(spec, theta_adj, x2))
-    if noise.mode == "per_gate" and noise.p > 0.0:
-        rho = _run_noisy(rho, fwd, noise.p, noise_before=False)
-        mirror = noise.adjoint_noise == "mirror"
-        rho = _run_noisy(rho, adj, noise.p, noise_before=mirror)
-    else:
-        rho = qsim.apply_circuit(rho, fwd)
-        rho = qsim.apply_circuit(rho, adj)
+    for gate, uncompute in steps:
+        if p and uncompute:
+            rho = _depolarize(rho, gate, p)
+        rho = qsim.apply_gate(rho, gate)
+        if p and not uncompute:
+            rho = _depolarize(rho, gate, p)
+    return rho
+
+
+def _readout(rho, spec: FeatureMapSpec, noise: NoiseModel) -> float:
     value = qsim.projector_probability(rho)
     if noise.mode == "global":
         value = analytic_noisy_kernel(value, noise.p, spec.dim)
     return value
+
+
+def _interference_value(
+    spec: FeatureMapSpec, theta_fwd, theta_adj, x1, x2, noise: NoiseModel
+) -> float:
+    """All-zeros probability of [forward map for x1][adjoint map for x2],
+    each half with its own parameters."""
+    steps = _interference_steps(spec, theta_fwd, theta_adj, x1, x2)
+    rho = _run_steps(qsim.zero_state(spec.n_qubits), steps, _gate_noise_rate(noise))
+    return _readout(rho, spec, noise)
 
 
 def kernel_eval(
@@ -228,6 +233,52 @@ def kernel_eval(
     return value
 
 
+def _shift_gradients(
+    spec: FeatureMapSpec, theta, x1, x2, noise: NoiseModel, params
+) -> np.ndarray:
+    """Parameter-shift derivatives dK/d theta_t for each t in ``params``.
+
+    theta_t enters twice, as one RY in each half of the interference circuit,
+    so each derivative sums a two-point shift over both occurrences (four
+    shifted circuits). The unshifted circuit runs once and keeps the state
+    before every RY; each shifted circuit starts from the state before its
+    shifted gate. Every state still meets the same gates in the same order
+    as in a run from |0>, so the result does not depend on the checkpoints.
+    Shift gradients are defined on expectations, not samples.
+    """
+    if noise.shots is not None:
+        raise ValueError("parameter-shift gradients require expectation values")
+    theta = np.asarray(theta, dtype=float)
+    for t in params:
+        if not 0 <= t < spec.n_params:
+            raise ValueError(f"parameter index {t} out of range")
+    steps = _interference_steps(spec, theta, theta, x1, x2)
+    p = _gate_noise_rate(noise)
+    before = {}
+    rho = qsim.zero_state(spec.n_qubits)
+    for i, step in enumerate(steps):
+        if step[0].name == "ry":
+            before[i] = rho
+        rho = _run_steps(rho, [step], p)
+    ry = list(before)
+    # the compute half meets theta in order, the uncompute half in reverse
+    occurrences = list(zip(ry[: spec.n_params], ry[spec.n_params :][::-1]))
+    half = 0.5 * np.pi
+    grads = np.empty(len(params))
+    for k, t in enumerate(params):
+        grad = 0.0
+        for i in occurrences[t]:
+            gate, uncompute = steps[i]
+            for sign in (1.0, -1.0):
+                shifted = qsim.rot_y(gate.qubits[0], theta[t] + sign * half)
+                if uncompute:
+                    shifted = shifted.adjoint()
+                rho = _run_steps(before[i], [(shifted, uncompute)] + steps[i + 1 :], p)
+                grad += 0.5 * sign * _readout(rho, spec, noise)
+        grads[k] = grad
+    return grads
+
+
 def kernel_grad(
     spec: FeatureMapSpec,
     theta,
@@ -236,35 +287,12 @@ def kernel_grad(
     noise: NoiseModel,
     t: int,
 ) -> float:
-    """Exact derivative dK/d theta_t by the parameter-shift rule.
-
-    theta_t enters twice, once in each half of the interference circuit, so
-    the derivative sums a two-point shift over both occurrences (four kernel
-    evaluations). Shift gradients are defined on expectations, not samples.
-    """
-    if noise.shots is not None:
-        raise ValueError("parameter-shift gradients require expectation values")
-    theta = np.asarray(theta, dtype=float)
-    if not 0 <= t < spec.n_params:
-        raise ValueError(f"parameter index {t} out of range")
-    half = 0.5 * np.pi
-    grad = 0.0
-    for slot in ("fwd", "adj"):
-        for sign in (1.0, -1.0):
-            shifted = theta.copy()
-            shifted[t] += sign * half
-            if slot == "fwd":
-                val = _interference_value(spec, shifted, theta, x1, x2, noise)
-            else:
-                val = _interference_value(spec, theta, shifted, x1, x2, noise)
-            grad += 0.5 * sign * val
-    return grad
+    """Exact derivative dK/d theta_t by the parameter-shift rule."""
+    return float(_shift_gradients(spec, theta, x1, x2, noise, [t])[0])
 
 
 def parameter_shift_gradient(
     spec: FeatureMapSpec, theta, x1, x2, noise: NoiseModel
 ) -> np.ndarray:
     """Full gradient of one kernel entry, one shifted pair per occurrence."""
-    return np.array(
-        [kernel_grad(spec, theta, x1, x2, noise, t) for t in range(spec.n_params)]
-    )
+    return _shift_gradients(spec, theta, x1, x2, noise, range(spec.n_params))

@@ -154,14 +154,7 @@ def _modal_noise(nodes) -> NoiseModel:
     honest = [n.noise for n in nodes if n.role == dnet.HONEST]
     if not honest:
         raise RunError("no honest nodes to evaluate")
-    counts: dict[NoiseModel, int] = {}
-    for nm in honest:
-        counts[nm] = counts.get(nm, 0) + 1
-    best = max(counts.values())
-    for nm in honest:
-        if counts[nm] == best:
-            return nm
-    raise RunError("unreachable")
+    return max(honest, key=honest.count)
 
 
 def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
@@ -378,8 +371,7 @@ def _eval_noise_for(problem: Problem, noise: NoiseModel) -> NoiseModel:
     shots = problem.config.eval_shots
     if shots == 0:
         return noise
-    return NoiseModel(mode=noise.mode, p=noise.p, shots=shots,
-                      adjoint_noise=noise.adjoint_noise)
+    return NoiseModel(mode=noise.mode, p=noise.p, shots=shots)
 
 
 def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,

@@ -52,6 +52,12 @@ def balanced_labels(n_points):
     return y
 
 
+def one_node_alignment(spec, theta, x, y, noise):
+    """One node's alignment and gradient, as a one-block batched call."""
+    values, grads = engine.multi_alignment_grads(spec, [theta], [x], [y], noise)
+    return values[0], grads[0]
+
+
 def test_feature_states_match_per_point_simulation():
     rng = np.random.default_rng(41)
     for noise in (NoiseModel(), NoiseModel(mode="per_gate", p=0.02)):
@@ -172,23 +178,6 @@ def test_gram_matrix_equals_pairwise_reference():
         assert np.all(k >= 0.0) and np.all(k <= 1.0)
 
 
-def test_gram_matrix_trailing_noise_placement_falls_back():
-    rng = np.random.default_rng(53)
-    spec = FeatureMapSpec(n_qubits=2, layers=1)
-    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    x = random_batch(rng, 3)
-    noise = NoiseModel(mode="per_gate", p=0.03, adjoint_noise="after")
-    k = engine.gram_matrix(spec, theta, x, noise)
-    raw = np.array(
-        [
-            [qkernel.kernel_eval(spec, theta, x[i], x[j], noise) for j in range(3)]
-            for i in range(3)
-        ]
-    )
-    assert np.max(np.abs(k - 0.5 * (raw + raw.T))) < 1e-12
-    assert np.max(np.abs(k - k.T)) < 1e-15
-
-
 def test_exact_gram_diagonal_is_one():
     rng = np.random.default_rng(59)
     spec = FeatureMapSpec(n_qubits=3, layers=3)
@@ -230,10 +219,6 @@ def test_pair_kernel_grad_rejects_unsupported_models():
     theta = np.zeros(spec.n_params)
     x = np.zeros(2)
     with pytest.raises(ValueError):
-        engine.pair_kernel_grad(
-            spec, theta, x, x, NoiseModel(mode="per_gate", p=0.01, adjoint_noise="after")
-        )
-    with pytest.raises(ValueError):
         engine.pair_kernel_grad(spec, theta, x, x, NoiseModel(shots=16))
 
 
@@ -244,7 +229,7 @@ def test_alignment_value_matches_gram_route():
         theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
         x = random_batch(rng, 6)
         y = balanced_labels(6)
-        a, _ = engine.alignment_and_grad(spec, theta, x, y, noise)
+        a, _ = one_node_alignment(spec, theta, x, y, noise)
         k = engine.gram_matrix(spec, theta, x, noise)
         assert abs(a - learn.alignment(k, y)) < 1e-12
 
@@ -257,7 +242,7 @@ def test_alignment_grad_matches_finite_difference():
         theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
         x = random_batch(rng, 4)
         y = balanced_labels(4)
-        _, grad = engine.alignment_and_grad(spec, theta, x, y, noise)
+        _, grad = one_node_alignment(spec, theta, x, y, noise)
         for t in range(spec.n_params):
             up = theta.copy()
             up[t] += h
@@ -268,17 +253,13 @@ def test_alignment_grad_matches_finite_difference():
             assert abs(grad[t] - (au - ad) / (2 * h)) < 1e-6
 
 
-def test_alignment_grad_rejects_shots_and_trailing_noise():
+def test_alignment_grad_rejects_shots():
     spec = FeatureMapSpec(n_qubits=2, layers=1)
     theta = np.zeros(spec.n_params)
     x = np.zeros((4, 2))
     y = balanced_labels(4)
     with pytest.raises(ValueError):
-        engine.alignment_and_grad(spec, theta, x, y, NoiseModel(shots=8))
-    with pytest.raises(ValueError):
-        engine.alignment_and_grad(
-            spec, theta, x, y, NoiseModel(mode="per_gate", p=0.01, adjoint_noise="after")
-        )
+        one_node_alignment(spec, theta, x, y, NoiseModel(shots=8))
 
 
 def test_multi_alignment_matches_per_node_calls():
@@ -291,7 +272,7 @@ def test_multi_alignment_matches_per_node_calls():
     values, grads = engine.multi_alignment_grads(spec, thetas, xs, ys, noise)
     assert grads.shape == thetas.shape
     for i in range(3):
-        a, g = engine.alignment_and_grad(spec, thetas[i], xs[i], ys[i], noise)
+        a, g = one_node_alignment(spec, thetas[i], xs[i], ys[i], noise)
         assert abs(values[i] - a) < 1e-12
         assert np.max(np.abs(grads[i] - g)) < 1e-12
 
@@ -398,6 +379,6 @@ def test_property_multi_alignment_matches_per_node_calls(case, counts, shared):
     ys = [balanced_labels(c) for c in counts]
     values, grads = engine.multi_alignment_grads(spec, thetas, xs, ys, noise)
     for i in range(len(counts)):
-        a, g = engine.alignment_and_grad(spec, thetas[i], xs[i], ys[i], noise)
+        a, g = one_node_alignment(spec, thetas[i], xs[i], ys[i], noise)
         assert abs(values[i] - a) < 1e-12
         assert np.max(np.abs(grads[i] - g)) < 1e-12

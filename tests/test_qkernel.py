@@ -81,8 +81,6 @@ def test_noise_model_validation():
         NoiseModel(mode="exact", p=0.1)
     with pytest.raises(ValueError):
         NoiseModel(shots=0)
-    with pytest.raises(ValueError):
-        NoiseModel(mode="per_gate", p=0.1, adjoint_noise="before")
 
 
 def test_effective_rate_formula():
@@ -220,7 +218,6 @@ def test_kernel_values_stay_in_unit_interval():
     for noise in (
         NoiseModel(),
         NoiseModel(mode="per_gate", p=0.05),
-        NoiseModel(mode="per_gate", p=0.05, adjoint_noise="after"),
         NoiseModel(mode="global", p=0.6),
     ):
         for _ in range(5):
@@ -249,17 +246,6 @@ def test_per_gate_noise_shrinks_self_kernel():
     clean = qkernel.kernel_eval(spec, theta, x, x)
     noisy = qkernel.kernel_eval(spec, theta, x, x, NoiseModel(mode="per_gate", p=0.02))
     assert clean > noisy > 1.0 / spec.dim
-
-
-def test_mirror_and_after_placements_agree_without_noise():
-    spec = FeatureMapSpec(n_qubits=2, layers=2)
-    rng = np.random.default_rng(33)
-    theta, x1, x2 = random_inputs(rng, spec)
-    a = qkernel.kernel_eval(spec, theta, x1, x2, NoiseModel(mode="per_gate", p=0.0))
-    b = qkernel.kernel_eval(
-        spec, theta, x1, x2, NoiseModel(mode="per_gate", p=0.0, adjoint_noise="after")
-    )
-    assert a == b
 
 
 def test_sampled_kernel_needs_rng_and_lands_on_grid():

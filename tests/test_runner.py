@@ -76,6 +76,8 @@ def test_modal_noise_prefers_the_common_model():
     cfg = tiny_config(nodes_noise_p=(0.0005, 0.0005, 0.05, 0.0005))
     problem = runner.prepare_problem(cfg, "decentralized")
     assert problem.eval_noise.p == 0.0005
+    tie = tiny_config(nodes_noise_p=(0.05, 0.0005, 0.05, 0.0005))
+    assert runner.prepare_problem(tie, "decentralized").eval_noise.p == 0.05
 
 
 def test_runs_are_bit_reproducible():
