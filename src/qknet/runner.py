@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,14 +101,20 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class EvalPoint:
+    """The accuracy of the honest nodes' mean model at one evaluated round."""
+
     round: int
     mean_model_accuracy: float
-    reports: tuple[ScoreReport, ...]
 
 
 @dataclass(frozen=True)
 class Problem:
-    """Everything a training loop needs, with data already distributed."""
+    """Everything a training loop needs, with data already distributed.
+
+    ``schedule`` holds every round's subsample batches, drawn once for the
+    ``nodes`` and the ``config.run_budget`` the problem was prepared with; a
+    problem built by replacing either keeps the old draws.
+    """
 
     config: ExperimentConfig
     spec: FeatureMapSpec
@@ -118,10 +124,14 @@ class Problem:
     topology: dnet.Topology | None
     weights: np.ndarray | None
     eval_noise: NoiseModel
+    schedule: tuple[tuple[_GroupBatch, ...], ...]
 
 
 @dataclass(frozen=True)
 class RunResult:
+    """A finished run; ``reports`` scores each node at ``final_round``, the
+    last entry of ``evals``."""
+
     mode: str
     config: ExperimentConfig
     thetas: np.ndarray
@@ -226,12 +236,15 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         weights = dnet.metropolis_weights(topology)
         dnet.check_weight_matrix(weights)
 
-    return Problem(
+    problem = Problem(
         config=config, spec=FeatureMapSpec(config.circuit_n_qubits,
                                            config.circuit_layers),
         nodes=tuple(nodes), global_train=global_train, global_test=global_test,
         topology=topology, weights=weights, eval_noise=_modal_noise(nodes),
+        schedule=(),
     )
+    return replace(problem,
+                   schedule=_subsample_schedule(problem, config.run_budget))
 
 
 def _init_thetas(problem: Problem) -> np.ndarray:
@@ -257,7 +270,8 @@ class _GroupBatch:
     ys: list[np.ndarray]
 
 
-def _subsample_schedule(problem: Problem, rounds: int) -> list[tuple[_GroupBatch, ...]]:
+def _subsample_schedule(problem: Problem,
+                        rounds: int) -> tuple[tuple[_GroupBatch, ...], ...]:
     """Every round's subsample batches, grouped by honest noise model.
 
     Each (node, round) draws from its own TAG_SUBSAMPLE stream, so drawing
@@ -281,18 +295,18 @@ def _subsample_schedule(problem: Problem, rounds: int) -> list[tuple[_GroupBatch
                 idx[rnd] = derived_rng(seed, TAG_SUBSAMPLE, i, rnd).choice(
                     len(train), size=q, replace=False)
             picks[i] = (train.x[idx], train.y[idx])
-    return [tuple(_GroupBatch(noise, ids, etas[noise],
-                              [picks[i][0][rnd] for i in ids],
-                              [picks[i][1][rnd] for i in ids])
-                  for noise, ids in groups.items())
-            for rnd in range(rounds)]
+    return tuple(tuple(_GroupBatch(noise, ids, etas[noise],
+                                   [picks[i][0][rnd] for i in ids],
+                                   [picks[i][1][rnd] for i in ids])
+                       for noise, ids in groups.items())
+                 for rnd in range(rounds))
 
 
 def _half_steps(problem: Problem, thetas: np.ndarray,
                 batches: tuple[_GroupBatch, ...]):
     """Per-node half-step parameters and subsample metrics for one round.
 
-    ``batches`` is the round's entry of ``_subsample_schedule``; each group
+    ``batches`` is the round's entry of ``Problem.schedule``; each group
     shares one batched simulation. Rows of nodes that are not honest keep
     their stored parameters.
     """
@@ -396,15 +410,8 @@ def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,
 
 
 def _evaluate(problem: Problem, thetas: np.ndarray, rnd: int) -> EvalPoint:
+    """Score the honest nodes' mean model; node scores wait for the end."""
     cfg = problem.config
-    reports = []
-    for node in problem.nodes:
-        if node.role == dnet.HONEST:
-            reports.append(evaluate_node(problem, node, thetas[node.node_id],
-                                         rnd))
-        else:
-            reports.append(ScoreReport(node=node.node_id, score1=None,
-                                       score2=None, score3=None))
     honest_ids = [n.node_id for n in problem.nodes if n.role == dnet.HONEST]
     mean_theta = thetas[honest_ids].mean(axis=0)
     noise = _eval_noise_for(problem, problem.eval_noise)
@@ -412,21 +419,23 @@ def _evaluate(problem: Problem, thetas: np.ndarray, rnd: int) -> EvalPoint:
            if noise.shots is not None else None)
     acc = learn.score(problem.spec, mean_theta, problem.global_train,
                       problem.global_test, noise, cfg.ridge_lam, rng=rng)
-    return EvalPoint(round=rnd, mean_model_accuracy=acc,
-                     reports=tuple(reports))
+    return EvalPoint(round=rnd, mean_model_accuracy=acc)
 
 
 def run_problem(problem: Problem, mode: str) -> RunResult:
     """Drive the round loop for an assembled Problem."""
     cfg = problem.config
+    if len(problem.schedule) < cfg.run_budget:
+        raise RunError(
+            f"run.budget = {cfg.run_budget} exceeds the {len(problem.schedule)}"
+            " rounds of subsamples the problem was prepared with")
     thetas = _init_thetas(problem)
     rounds = []  # (per-node metrics, consensus distance) of each round
     evals: list[EvalPoint] = []
-    schedule = _subsample_schedule(problem, cfg.run_budget)
     if mode == "decentralized":
         neighbors = _neighbor_lists(problem)
     for rnd in range(cfg.run_budget):
-        halves, metrics = _half_steps(problem, thetas, schedule[rnd])
+        halves, metrics = _half_steps(problem, thetas, problem.schedule[rnd])
         if mode == "decentralized":
             thetas = _exchange(problem, thetas, halves, rnd, neighbors)
         else:
@@ -451,10 +460,17 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
                     consensus_dist=consensus)
         for r, (metrics, consensus) in enumerate(rounds)
         for i, m in enumerate(metrics))
+    # the last evaluation is of the `done` round, so of the final thetas
+    reports = tuple(
+        evaluate_node(problem, node, thetas[node.node_id], rnd)
+        if node.role == dnet.HONEST
+        else ScoreReport(node=node.node_id, score1=None, score2=None,
+                         score3=None)
+        for node in problem.nodes)
     iters = _first_crossing(tuple(evals), cfg.run_threshold)
     return RunResult(
         mode=mode, config=cfg, thetas=thetas, records=records,
-        evals=tuple(evals), reports=evals[-1].reports,
+        evals=tuple(evals), reports=reports,
         iterations_to_threshold=iters, final_round=rnd,
     )
 

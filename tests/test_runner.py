@@ -1,6 +1,7 @@
 """Training loop orchestration: data distribution, rounds, outputs."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,35 @@ def test_evaluation_cadence_includes_start_and_end():
     assert [p.round for p in result.evals] == [0, 2, 3]
 
 
+def test_nodes_are_scored_once_at_the_final_evaluation(monkeypatch):
+    splits = []  # of every learn.score call; None for the mean model
+    score = learn.score
+
+    def counting(*args, **kwargs):
+        splits.append(kwargs.get("splits"))
+        return score(*args, **kwargs)
+
+    for shots in (0, 64):
+        cfg = tiny_config(
+            nodes_roles=("honest", "honest", "signflip_attacker", "honest"),
+            run_budget=5, run_eval_every=2, eval_shots=shots)
+        problem = runner.prepare_problem(cfg, "decentralized")
+        splits.clear()
+        monkeypatch.setattr(learn, "score", counting)
+        result = runner.run_problem(problem, "decentralized")
+        monkeypatch.undo()
+        assert [p.round for p in result.evals] == [0, 2, 4]
+        assert sum(s is None for s in splits) == 3
+        assert len(splits) == 3 + 3  # plus one per honest node
+        want = tuple(
+            runner.evaluate_node(problem, node, result.thetas[node.node_id],
+                                 result.final_round)
+            if node.role == dnet.HONEST
+            else runner.ScoreReport(node.node_id, None, None, None)
+            for node in problem.nodes)
+        assert result.reports == want
+
+
 def test_gradient_threshold_stops_early():
     cfg = tiny_config(run_budget=50, run_g_thresh=100.0)
     result = runner.run(cfg, "decentralized")
@@ -224,19 +254,32 @@ def test_exchange_safety_checks_fire(monkeypatch):
 
 def test_subsample_schedule_matches_per_round_draws():
     cfg = tiny_config(nodes_noise_p=(0.0005, 0.05, 0.0005, 0.0005),
-                      nodes_subsample=(3,))
+                      nodes_subsample=(3,), run_budget=4)
     problem = runner.prepare_problem(cfg, "decentralized")
-    schedule = runner._subsample_schedule(problem, 4)
-    assert len(schedule) == 4
-    for rnd, batches in enumerate(schedule):
-        assert [b.ids for b in batches] == [[0, 2, 3], [1]]
-        for batch in batches:
-            for i, x, y in zip(batch.ids, batch.xs, batch.ys):
-                train = problem.nodes[i].train
-                idx = runner.derived_rng(0, runner.TAG_SUBSAMPLE, i, rnd).choice(
-                    len(train), size=3, replace=False)
-                assert np.array_equal(x, train.x[idx])
-                assert np.array_equal(y, train.y[idx])
+    for schedule in (problem.schedule, runner._subsample_schedule(problem, 4)):
+        assert len(schedule) == 4
+        for rnd, batches in enumerate(schedule):
+            assert [b.ids for b in batches] == [[0, 2, 3], [1]]
+            for batch in batches:
+                for i, x, y in zip(batch.ids, batch.xs, batch.ys):
+                    train = problem.nodes[i].train
+                    idx = runner.derived_rng(
+                        0, runner.TAG_SUBSAMPLE, i, rnd).choice(
+                            len(train), size=3, replace=False)
+                    assert np.array_equal(x, train.x[idx])
+                    assert np.array_equal(y, train.y[idx])
+
+
+def test_run_reads_the_prepared_schedule_up_to_its_budget():
+    problem = runner.prepare_problem(tiny_config(run_budget=3), "decentralized")
+    longer = replace(problem, config=replace(problem.config, run_budget=4))
+    with pytest.raises(runner.RunError, match="run.budget"):
+        runner.run_problem(longer, "decentralized")
+    shorter = replace(problem, config=replace(problem.config, run_budget=1))
+    fresh = runner.prepare_problem(tiny_config(run_budget=1), "decentralized")
+    assert len(fresh.schedule) == 1
+    assert (runner.rounds_jsonl(runner.run_problem(shorter, "decentralized"))
+            == runner.rounds_jsonl(runner.run_problem(fresh, "decentralized")))
 
 
 def test_evaluate_node_matches_separate_score_calls():
