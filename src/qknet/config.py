@@ -7,9 +7,11 @@ fields accept either a single value or one comma-separated value per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from . import dnet
+from .qkernel import NOISE_MODES
 from .qsim import MAX_QUBITS
 
 
@@ -22,9 +24,6 @@ _SOURCES = ("checkerboard", "csv")
 _STRATEGIES = ("region", "random")
 _TOPOLOGIES = ("ring", "complete")
 _RULES = ("plain", "robust_clip")
-_REFERENCES = ("self_centered", "literal")
-_NOISE_MODES = ("exact", "per_gate", "global")
-_ROLES = ("honest", "gaussian_attacker", "signflip_attacker")
 
 
 @dataclass(frozen=True)
@@ -75,16 +74,16 @@ class ExperimentConfig:
             raise ConfigError(f"network.topology must be one of {_TOPOLOGIES}")
         if self.network_n_nodes < 1:
             raise ConfigError("network.n_nodes must be positive")
-        if self.nodes_noise_mode not in _NOISE_MODES:
-            raise ConfigError(f"nodes.noise_mode must be one of {_NOISE_MODES}")
+        if self.nodes_noise_mode not in NOISE_MODES:
+            raise ConfigError(f"nodes.noise_mode must be one of {NOISE_MODES}")
         for role in self.nodes_roles:
-            if role not in _ROLES:
+            if role not in dnet.ROLES:
                 raise ConfigError(f"unknown node role {role!r}")
         if self.aggregation_rule not in _RULES:
             raise ConfigError(f"aggregation.rule must be one of {_RULES}")
-        if self.aggregation_reference not in _REFERENCES:
+        if self.aggregation_reference not in dnet.REFERENCES:
             raise ConfigError(
-                f"aggregation.reference must be one of {_REFERENCES}"
+                f"aggregation.reference must be one of {dnet.REFERENCES}"
             )
         if not self.aggregation_tau > 0:
             raise ConfigError("aggregation.tau must be positive")

@@ -8,7 +8,7 @@ resampling so the boundary carries no atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,12 +104,11 @@ def gen_checkerboard(spec: CheckerboardSpec) -> LabeledDataset:
     return LabeledDataset(np.concatenate(xs), np.concatenate(ys))
 
 
-def save_csv(dataset: LabeledDataset, path, header: bool = True) -> None:
+def save_csv(dataset: LabeledDataset, path) -> None:
     if dataset.dim != 2:
         raise DataError("CSV format is two features wide")
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write("x1,x2,label\n")
+        fh.write("x1,x2,label\n")
         for xi, yi in zip(dataset.x, dataset.y):
             # repr of a Python float round-trips exactly
             fh.write(f"{float(xi[0])!r},{float(xi[1])!r},{yi:d}\n")

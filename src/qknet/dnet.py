@@ -30,7 +30,6 @@ class Topology:
 
     n_nodes: int
     edges: frozenset
-    kind: str = "custom"
     _adjacency: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,7 +77,7 @@ def ring(n_nodes: int) -> Topology:
     if n_nodes < 3:
         raise NetError("a ring needs at least 3 nodes")
     edges = frozenset((i, (i + 1) % n_nodes) for i in range(n_nodes))
-    return Topology(n_nodes, edges, kind="ring")
+    return Topology(n_nodes, edges)
 
 
 def complete(n_nodes: int) -> Topology:
@@ -86,7 +85,7 @@ def complete(n_nodes: int) -> Topology:
     if n_nodes < 1:
         raise NetError("a complete graph needs at least 1 node")
     edges = frozenset((i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes))
-    return Topology(n_nodes, edges, kind="complete")
+    return Topology(n_nodes, edges)
 
 
 def metropolis_weights(top: Topology) -> np.ndarray:
@@ -150,6 +149,7 @@ def clip(v: np.ndarray, tau: float) -> np.ndarray:
 
 SELF_CENTERED = "self_centered"
 LITERAL = "literal"
+REFERENCES = (SELF_CENTERED, LITERAL)
 
 
 def aggregate_robust(self_theta: np.ndarray, messages: dict,

@@ -52,9 +52,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qkernel import FeatureMapSpec, NoiseModel
+from .qkernel import FeatureMapSpec, NoiseModel, analytic_noisy_kernel
 
 _I, _X, _Y, _Z = range(4)  # Pauli letters, as base-4 digits of a string index
+
+DEGENERATE_FROBENIUS = 1e-24
+"""A Gram whose squared Frobenius norm is below this has no alignment."""
 
 _BLOCK_BYTES = 512 * 1024
 """Bytes of one (rows, 4**n) temporary of the forward pass.
@@ -265,9 +268,8 @@ def backward(
     noise: NoiseModel,
     tapes: list[LayerTape],
     cost_ops: np.ndarray,
-    per_element: bool = False,
 ) -> np.ndarray:
-    """Gradient of sum_b lam_b . c_b(theta) for (B, 4**n) real cost vectors.
+    """Per-row gradients of lam_b . c_b(theta) for (B, 4**n) cost vectors.
 
     ``tapes`` must come from a forward pass with the same noise model. The
     costate is pulled back through each layer's transposed gather and wall;
@@ -275,9 +277,8 @@ def backward(
     RY on wire q generates Z -> X and X -> -Z, so at its wall theta_q
     contributes sum lam[X on q] sigma[Z on q] - lam[Z on q] sigma[X on q].
     The global analytic map is an affine rescale the caller applies to the
-    cost weights. With ``per_element`` the per-row terms come back as (B, T)
-    instead of summed rows, which is the full gradient split when each row
-    carries its own theta.
+    cost weights. The result is (B, T); its row sum is the gradient of
+    sum_b lam_b . c_b when every row carries the same theta.
     """
     n = spec.n_qubits
     if len(tapes) != spec.layers:
@@ -300,7 +301,7 @@ def backward(
             )
         if layer:
             _apply_wall(buf, tape.wall.swapaxes(2, 3), lam, tmp)
-    return grad if per_element else grad.sum(axis=0)
+    return grad
 
 
 def pair_kernel_grad(
@@ -312,16 +313,17 @@ def pair_kernel_grad(
     x = np.vstack([np.asarray(x1, float), np.asarray(x2, float)])
     states, tapes = feature_states(spec, theta, x, noise, record_tape=True)
     k = float(gram_from_states(states[:1], states[1:2])[0, 0])
-    grad = backward(spec, noise, tapes, states[::-1] / spec.dim)
+    grad = backward(spec, noise, tapes, states[::-1] / spec.dim).sum(axis=0)
     if noise.mode == "global":
-        k = (1.0 - noise.p) * k + noise.p / spec.dim
+        k = analytic_noisy_kernel(k, noise.p, spec.dim)
         grad = (1.0 - noise.p) * grad
     return k, grad
 
 
 def _affine_global(k: np.ndarray, noise: NoiseModel, dim: int) -> np.ndarray:
+    """The global analytic map in global mode; the other modes keep ``k``."""
     if noise.mode == "global":
-        return (1.0 - noise.p) * k + noise.p / dim
+        return analytic_noisy_kernel(k, noise.p, dim)
     return k
 
 
@@ -354,7 +356,7 @@ def _alignment_weights(k: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
     """Alignment of K with y yT and dA/dK, by the quotient rule."""
     n = len(y)
     frob = float(np.sum(k * k))
-    if frob < 1e-24:
+    if frob < DEGENERATE_FROBENIUS:
         raise ValueError("degenerate kernel: zero Frobenius norm")
     num = float(y @ k @ y)
     a = num / (n * np.sqrt(frob))
@@ -369,8 +371,8 @@ def multi_alignment_grads(
 
     ``thetas`` is (N, T); ``xs``/``ys`` list one data block per node. All
     nodes' rows share a single forward/backward pass, with each row carrying
-    its node's parameters; per-node gradients are the row-sums of the
-    per-element sweep over that node's block. Each node's alignment
+    its node's parameters; per-node gradients are the row sums of the
+    sweep's per-row gradients over that node's block. Each node's alignment
     gradient takes the dA/dK weights as the cost vectors
     (2 / D) sum_j W_bj c_j, since each state enters the Gram bilinearly.
     """
@@ -392,7 +394,7 @@ def multi_alignment_grads(
         values.append(a)
         cost[offset : offset + c] = (2.0 * scale / spec.dim) * (w @ block)
         offset += c
-    per_row = backward(spec, noise, tapes, cost, per_element=True)
+    per_row = backward(spec, noise, tapes, cost)
     grads = np.zeros_like(thetas)
     offset = 0
     for i, c in enumerate(counts):

@@ -14,8 +14,6 @@ import numpy as np
 from . import engine, qkernel
 from .data import LabeledDataset
 
-DEGENERATE_FROBENIUS = 1e-24
-
 
 class LearnError(ValueError):
     pass
@@ -32,9 +30,9 @@ def gram(spec: qkernel.FeatureMapSpec, theta, dataset: LabeledDataset,
          noise: qkernel.NoiseModel, rng=None) -> np.ndarray:
     """Gram matrix of the dataset under the given noise model.
 
-    Entries are evaluated once per unordered pair and mirrored; the diagonal
-    is computed explicitly since it falls below 1 under noise. With shots set,
-    each unordered pair's exact value is replaced by one binomial frequency.
+    One engine simulation gives every entry, the diagonal included, which
+    falls below 1 under noise. With shots set, each unordered pair's exact
+    value is replaced by one binomial frequency.
     """
     if len(dataset) == 0:
         raise LearnError("empty dataset")
@@ -64,7 +62,7 @@ def alignment(k: np.ndarray, labels) -> float:
     if k.shape != (n, n):
         raise LearnError("Gram size must match labels")
     frob = float(np.sum(k * k))
-    if frob < DEGENERATE_FROBENIUS:
+    if frob < engine.DEGENERATE_FROBENIUS:
         raise LearnError("degenerate kernel: zero Frobenius norm")
     return float(y @ k @ y) / (n * np.sqrt(frob))
 

@@ -8,7 +8,7 @@ interference circuit: run the map for x, then the adjoint of the map for x'.
 Noise is modeled three ways: exact (none), per-gate local depolarizing at rate
 p_tilde on the wires of every executed gate (after it in the compute half,
 mirrored before it in the uncompute half), or a global analytic map that
-mixes the exact kernel value toward 1/D at an effective rate p.
+mixes the exact kernel value toward 1/D at a rate p.
 """
 
 from __future__ import annotations
@@ -25,23 +25,16 @@ NOISE_MODES = ("exact", "per_gate", "global")
 
 @dataclass(frozen=True)
 class FeatureMapSpec:
-    """Circuit shape: ``n_qubits`` wires, ``layers`` re-uploading layers.
-
-    ``embedding`` maps qubit index to feature index. The default alternates
-    features across the wires (qubit q reads feature q mod d).
-    """
+    """Circuit shape: ``n_qubits`` wires, ``layers`` re-uploading layers."""
 
     n_qubits: int = 5
     layers: int = 8
-    embedding: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= qsim.MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {qsim.MAX_QUBITS}]")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        if self.embedding is not None and len(self.embedding) != self.n_qubits:
-            raise ValueError("embedding must list one feature index per qubit")
 
     @property
     def n_params(self) -> int:
@@ -52,16 +45,8 @@ class FeatureMapSpec:
         return 2**self.n_qubits
 
     def feature_assignment(self, data_dim: int) -> tuple[int, ...]:
-        """Feature index read by each qubit, validated against ``data_dim``."""
-        if self.embedding is None:
-            assign = tuple(q % data_dim for q in range(self.n_qubits))
-        else:
-            assign = self.embedding
-        if any(not 0 <= f < data_dim for f in assign):
-            raise ValueError(
-                f"embedding {assign} references features outside dimension {data_dim}"
-            )
-        return assign
+        """Feature index read by each qubit: qubit q reads feature q mod d."""
+        return tuple(q % data_dim for q in range(self.n_qubits))
 
 
 @dataclass(frozen=True)
@@ -69,7 +54,7 @@ class NoiseModel:
     """Noise configuration for kernel evaluation.
 
     ``mode`` is one of exact / per_gate / global. ``p`` is the per-gate rate
-    p_tilde in per_gate mode and the effective global rate in global mode.
+    p_tilde in per_gate mode and the global mixing rate in global mode.
     ``shots`` switches the returned kernel to a sampled estimate. Per-gate
     channels follow each gate of the compute half and mirror it in the
     uncompute half, preceding each adjoint gate, so the uncompute half is the
@@ -91,17 +76,11 @@ class NoiseModel:
             raise ValueError("shots must be a positive count")
 
 
-def effective_rate(p_tilde: float, layers: int) -> float:
-    """Global rate matching 2L layers of per-gate noise: 1 - (1 - p_tilde)^(2L)."""
-    if not 0.0 <= p_tilde <= 1.0:
-        raise ValueError(f"p_tilde must be in [0, 1], got {p_tilde}")
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    return 1.0 - (1.0 - p_tilde) ** (2 * layers)
+def analytic_noisy_kernel(k_exact, p: float, dim: int):
+    """Mix an exact kernel value toward the flat baseline: (1-p) K + p / D.
 
-
-def analytic_noisy_kernel(k_exact: float, p: float, dim: int) -> float:
-    """Mix an exact kernel value toward the flat baseline: (1-p) K + p / D."""
+    The one place the global map is written; elementwise on arrays.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if dim < 2:
@@ -196,8 +175,9 @@ def _run_steps(rho, steps, p: float):
     return rho
 
 
-def _readout(rho, spec: FeatureMapSpec, noise: NoiseModel) -> float:
-    value = qsim.projector_probability(rho)
+def _readout(prob: float, spec: FeatureMapSpec, noise: NoiseModel) -> float:
+    """All-zeros probability clamped to [0, 1], then the global map if set."""
+    value = min(1.0, max(0.0, float(prob)))
     if noise.mode == "global":
         value = analytic_noisy_kernel(value, noise.p, spec.dim)
     return value
@@ -210,7 +190,7 @@ def _interference_value(
     each half with its own parameters."""
     steps = _interference_steps(spec, theta_fwd, theta_adj, x1, x2)
     rho = _run_steps(qsim.zero_state(spec.n_qubits), steps, _gate_noise_rate(noise))
-    return _readout(rho, spec, noise)
+    return _readout(rho[0, 0].real, spec, noise)
 
 
 def kernel_eval(
@@ -233,52 +213,6 @@ def kernel_eval(
     return value
 
 
-def _shift_gradients(
-    spec: FeatureMapSpec, theta, x1, x2, noise: NoiseModel, params
-) -> np.ndarray:
-    """Parameter-shift derivatives dK/d theta_t for each t in ``params``.
-
-    theta_t enters twice, as one RY in each half of the interference circuit,
-    so each derivative sums a two-point shift over both occurrences (four
-    shifted circuits). The unshifted circuit runs once and keeps the state
-    before every RY; each shifted circuit starts from the state before its
-    shifted gate. Every state still meets the same gates in the same order
-    as in a run from |0>, so the result does not depend on the checkpoints.
-    Shift gradients are defined on expectations, not samples.
-    """
-    if noise.shots is not None:
-        raise ValueError("parameter-shift gradients require expectation values")
-    theta = np.asarray(theta, dtype=float)
-    for t in params:
-        if not 0 <= t < spec.n_params:
-            raise ValueError(f"parameter index {t} out of range")
-    steps = _interference_steps(spec, theta, theta, x1, x2)
-    p = _gate_noise_rate(noise)
-    before = {}
-    rho = qsim.zero_state(spec.n_qubits)
-    for i, step in enumerate(steps):
-        if step[0].name == "ry":
-            before[i] = rho
-        rho = _run_steps(rho, [step], p)
-    ry = list(before)
-    # the compute half meets theta in order, the uncompute half in reverse
-    occurrences = list(zip(ry[: spec.n_params], ry[spec.n_params :][::-1]))
-    half = 0.5 * np.pi
-    grads = np.empty(len(params))
-    for k, t in enumerate(params):
-        grad = 0.0
-        for i in occurrences[t]:
-            gate, uncompute = steps[i]
-            for sign in (1.0, -1.0):
-                shifted = qsim.rot_y(gate.qubits[0], theta[t] + sign * half)
-                if uncompute:
-                    shifted = shifted.adjoint()
-                rho = _run_steps(before[i], [(shifted, uncompute)] + steps[i + 1 :], p)
-                grad += 0.5 * sign * _readout(rho, spec, noise)
-        grads[k] = grad
-    return grads
-
-
 def kernel_grad(
     spec: FeatureMapSpec,
     theta,
@@ -288,11 +222,64 @@ def kernel_grad(
     t: int,
 ) -> float:
     """Exact derivative dK/d theta_t by the parameter-shift rule."""
-    return float(_shift_gradients(spec, theta, x1, x2, noise, [t])[0])
+    if not 0 <= t < spec.n_params:
+        raise ValueError(f"parameter index {t} out of range")
+    return float(parameter_shift_gradient(spec, theta, x1, x2, noise)[t])
 
 
 def parameter_shift_gradient(
     spec: FeatureMapSpec, theta, x1, x2, noise: NoiseModel
 ) -> np.ndarray:
-    """Full gradient of one kernel entry, one shifted pair per occurrence."""
-    return _shift_gradients(spec, theta, x1, x2, noise, range(spec.n_params))
+    """Full gradient of one kernel entry by the parameter-shift rule.
+
+    theta_t enters twice, as one RY in each half of the interference circuit,
+    so each derivative sums a two-point shift over both occurrences (four
+    shifted circuits). The kernel is Tr[P0 C(rho0)] = Tr[C'(P0) rho0], with
+    P0 = |0><0| and C' the adjoint channel (the Heisenberg picture; Jones &
+    Gacon, arXiv:2009.02823). So a forward pass keeps the state rho_i before
+    every RY, and one reverse pass of P0 keeps O_i, the observable that the
+    steps after RY i turn P0 into. A shifted circuit's probability is then
+    Tr[O_i step(rho_i)], where step is the shifted gate with its channels.
+    Local depolarizing is its own adjoint, so an adjoint step applies the
+    channel, then the adjoint gate, for a compute step, and the reverse for
+    an uncompute step. Shift gradients are defined on expectations, not
+    samples.
+    """
+    if noise.shots is not None:
+        raise ValueError("parameter-shift gradients require expectation values")
+    theta = np.asarray(theta, dtype=float)
+    steps = _interference_steps(spec, theta, theta, x1, x2)
+    p = _gate_noise_rate(noise)
+    before, after = {}, {}
+    rho = qsim.zero_state(spec.n_qubits)
+    for i, step in enumerate(steps):
+        if step[0].name == "ry":
+            before[i] = rho
+        rho = _run_steps(rho, [step], p)
+    obs = qsim.zero_state(spec.n_qubits)
+    for i in reversed(range(len(steps))):
+        if i in before:
+            after[i] = obs
+        gate, uncompute = steps[i]
+        if p and not uncompute:
+            obs = _depolarize(obs, gate, p)
+        obs = qsim.apply_gate(obs, gate.adjoint())
+        if p and uncompute:
+            obs = _depolarize(obs, gate, p)
+    ry = list(before)
+    # the compute half meets theta in order, the uncompute half in reverse
+    occurrences = list(zip(ry[: spec.n_params], ry[spec.n_params :][::-1]))
+    half = 0.5 * np.pi
+    grads = np.zeros(spec.n_params)
+    for t, pair in enumerate(occurrences):
+        for i in pair:
+            gate, uncompute = steps[i]
+            for sign in (1.0, -1.0):
+                shifted = qsim.rot_y(gate.qubits[0], theta[t] + sign * half)
+                if uncompute:
+                    shifted = shifted.adjoint()
+                rho = _run_steps(before[i], [(shifted, uncompute)], p)
+                # O_i is Hermitian, so vdot gives Tr[O_i rho]
+                value = np.vdot(after[i], rho).real
+                grads[t] += 0.5 * sign * _readout(value, spec, noise)
+    return grads

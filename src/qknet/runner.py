@@ -507,16 +507,17 @@ def scores_json(result: RunResult) -> dict:
     }
 
 
-def write_outputs(result: RunResult, out_dir, problem: Problem | None = None):
-    """Write rounds.jsonl and scores.json (and the optional final Gram)."""
+def write_outputs(result: RunResult, out_dir, problem: Problem):
+    """Write rounds.jsonl and scores.json (and the optional final Gram).
+
+    ``problem`` is the prepared problem ``result`` came from.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "rounds.jsonl").write_text(rounds_jsonl(result), encoding="utf-8")
     (out / "scores.json").write_text(
         json.dumps(scores_json(result), indent=2) + "\n", encoding="utf-8")
     if result.config.output_gram_final:
-        if problem is None:
-            problem = prepare_problem(result.config, result.mode)
         honest = [n.node_id for n in problem.nodes if n.role == dnet.HONEST]
         mean_theta = result.thetas[honest].mean(axis=0)
         gram = engine.gram_matrix(problem.spec, mean_theta,

@@ -100,7 +100,7 @@ def test_csv_round_trip_is_exact(tmp_path):
 def test_csv_without_header_loads_too(tmp_path):
     ds = LabeledDataset(np.array([[0.5, 0.5], [0.1, 0.9]]), np.array([1, -1]))
     path = tmp_path / "bare.csv"
-    data.save_csv(ds, path, header=False)
+    path.write_text("0.5,0.5,1\n0.1,0.9,-1\n")
     back = data.load_csv(path)
     assert np.array_equal(ds.x, back.x)
 

@@ -97,7 +97,7 @@ def test_feature_states_in_row_blocks_match_single_rows():
     per_row = rng.uniform(-np.pi, np.pi, size=(b, spec.n_params))
     for theta in (shared, per_row):
         states, tapes = engine.feature_states(spec, theta, x, noise, record_tape=True)
-        grad = engine.backward(spec, noise, tapes, cost, per_element=True)
+        grad = engine.backward(spec, noise, tapes, cost)
         for i in range(b):
             row_theta = theta if theta.ndim == 1 else theta[i]
             single, single_tapes = engine.feature_states(
@@ -107,7 +107,7 @@ def test_feature_states_in_row_blocks_match_single_rows():
                 assert np.array_equal(tape.sigma[i], single_tape.sigma[0])
                 assert np.array_equal(tape.wall[i], single_tape.wall[0])
             single_grad = engine.backward(spec, noise, single_tapes,
-                                          cost[i : i + 1], per_element=True)
+                                          cost[i : i + 1])
             assert np.max(np.abs(grad[i] - single_grad[0])) < 1e-12
 
 
@@ -142,15 +142,14 @@ def test_backward_leaves_cost_and_tapes_unchanged():
         spec, theta, random_batch(rng, 6), noise, record_tape=True)
     cost = rng.normal(size=(6, 4**spec.n_qubits))
     kept = cost.copy(), [(t.sigma.copy(), t.wall.copy()) for t in tapes]
-    grad = engine.backward(spec, noise, tapes, cost, per_element=True)
+    grad = engine.backward(spec, noise, tapes, cost)
     assert np.array_equal(cost, kept[0])
     for tape, (sigma, wall) in zip(tapes, kept[1]):
         assert np.array_equal(tape.sigma, sigma)
         assert np.array_equal(tape.wall, wall)
     # a second sweep over the same tapes, from a Fortran-ordered copy of the
     # cost, gives the same gradient
-    again = engine.backward(spec, noise, tapes, np.asfortranarray(cost),
-                            per_element=True)
+    again = engine.backward(spec, noise, tapes, np.asfortranarray(cost))
     assert np.array_equal(grad, again)
 
 
@@ -212,6 +211,31 @@ def test_pair_kernel_grad_matches_parameter_shift():
         assert abs(k - qkernel.kernel_eval(spec, theta, x1, x2, noise)) < 1e-10
         shift = qkernel.parameter_shift_gradient(spec, theta, x1, x2, noise)
         assert np.max(np.abs(grad - shift)) < 1e-9
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 5])
+def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
+    """Every engine route applies `qkernel.analytic_noisy_kernel` and no copy."""
+    rng = np.random.default_rng(73)
+    spec = FeatureMapSpec(n_qubits=n_qubits, layers=2)
+    exact, noise = NoiseModel(), NoiseModel(mode="global", p=0.3)
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    x_train, x_test = random_batch(rng, 5), random_batch(rng, 3)
+
+    def mapped(k):
+        return qkernel.analytic_noisy_kernel(k, noise.p, spec.dim)
+
+    assert np.array_equal(engine.gram_matrix(spec, theta, x_train, noise),
+                          mapped(engine.gram_matrix(spec, theta, x_train, exact)))
+    grams = engine.train_test_grams(spec, theta, x_train, x_test, noise)
+    exact_grams = engine.train_test_grams(spec, theta, x_train, x_test, exact)
+    for got, want in zip(grams, exact_grams):
+        assert np.array_equal(got, mapped(want))
+    k, grad = engine.pair_kernel_grad(spec, theta, x_train[0], x_test[0], noise)
+    k_exact, grad_exact = engine.pair_kernel_grad(
+        spec, theta, x_train[0], x_test[0], exact)
+    assert k == mapped(k_exact)
+    assert np.array_equal(grad, (1.0 - noise.p) * grad_exact)
 
 
 def test_pair_kernel_grad_rejects_unsupported_models():

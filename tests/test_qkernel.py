@@ -49,8 +49,6 @@ def test_spec_validation():
         FeatureMapSpec(n_qubits=qsim.MAX_QUBITS + 1)
     with pytest.raises(ValueError):
         FeatureMapSpec(layers=0)
-    with pytest.raises(ValueError):
-        FeatureMapSpec(n_qubits=3, embedding=(0, 1))
 
 
 def test_spec_counts():
@@ -65,13 +63,6 @@ def test_feature_assignment_defaults_to_round_robin():
     assert spec.feature_assignment(3) == (0, 1, 2, 0, 1)
 
 
-def test_feature_assignment_validates_custom_embedding():
-    spec = FeatureMapSpec(n_qubits=2, layers=1, embedding=(1, 1))
-    assert spec.feature_assignment(2) == (1, 1)
-    with pytest.raises(ValueError):
-        spec.feature_assignment(1)
-
-
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(mode="thermal")
@@ -81,21 +72,6 @@ def test_noise_model_validation():
         NoiseModel(mode="exact", p=0.1)
     with pytest.raises(ValueError):
         NoiseModel(shots=0)
-
-
-def test_effective_rate_formula():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        p = float(rng.uniform(0, 1))
-        layers = int(rng.integers(1, 12))
-        assert abs(
-            qkernel.effective_rate(p, layers) - (1 - (1 - p) ** (2 * layers))
-        ) < 1e-15
-    assert qkernel.effective_rate(0.0, 8) == 0.0
-    with pytest.raises(ValueError):
-        qkernel.effective_rate(-0.1, 2)
-    with pytest.raises(ValueError):
-        qkernel.effective_rate(0.1, 0)
 
 
 def test_analytic_noisy_kernel_mixes_toward_uniform():
@@ -305,3 +281,28 @@ def test_kernel_grad_rejects_shots_and_bad_index():
         qkernel.kernel_grad(spec, theta, x, x, NoiseModel(shots=10), 0)
     with pytest.raises(ValueError):
         qkernel.kernel_grad(spec, theta, x, x, NoiseModel(), spec.n_params)
+
+
+def test_parameter_shift_gradient_matches_whole_shifted_circuits():
+    """The Heisenberg sweep against the shift rule on whole circuits.
+
+    Each half's RY is shifted on its own, the other half keeping theta, and
+    every shifted circuit runs from |0> to the readout.
+    """
+    rng = np.random.default_rng(43)
+    models = (NoiseModel(), NoiseModel(mode="per_gate", p=0.05),
+              NoiseModel(mode="global", p=0.3))
+    for n_qubits in (2, 3):
+        spec = FeatureMapSpec(n_qubits=n_qubits, layers=2)
+        for noise in models:
+            theta, x1, x2 = random_inputs(rng, spec)
+            want = np.zeros(spec.n_params)
+            for t in range(spec.n_params):
+                for sign in (1.0, -1.0):
+                    shifted = theta.copy()
+                    shifted[t] += sign * np.pi / 2
+                    want[t] += 0.5 * sign * (
+                        qkernel._interference_value(spec, shifted, theta, x1, x2, noise)
+                        + qkernel._interference_value(spec, theta, shifted, x1, x2, noise))
+            got = qkernel.parameter_shift_gradient(spec, theta, x1, x2, noise)
+            assert np.max(np.abs(got - want)) < 1e-12
