@@ -29,7 +29,7 @@ def trajectory(rule):
     neighbors = runner._neighbor_lists(prob)
     for rnd in range(ROUNDS):
         halves, _ = runner._half_steps(prob, thetas, prob.schedule[rnd])
-        mixed = runner._exchange(prob, thetas, halves, rnd, neighbors)
+        mixed = runner._exchange(prob, halves, rnd, neighbors)
         pulls.append(max(float(np.linalg.norm(mixed[i] - halves[i]))
                          for i in HONEST))
         thetas = mixed

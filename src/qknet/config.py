@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import dnet
+from .data import STRATEGIES
 from .qkernel import NOISE_MODES
 from .qsim import MAX_QUBITS
 
@@ -21,7 +22,6 @@ class ConfigError(ValueError):
 
 MODES = ("decentralized", "centralized", "local")
 _SOURCES = ("checkerboard", "csv")
-_STRATEGIES = ("region", "random")
 _TOPOLOGIES = ("ring", "complete")
 _RULES = ("plain", "robust_clip")
 
@@ -66,10 +66,14 @@ class ExperimentConfig:
             raise ConfigError(f"data.source must be one of {_SOURCES}")
         if self.data_source == "csv" and not self.data_csv_path:
             raise ConfigError("data.csv_path is required when data.source = csv")
+        if self.data_points_per_cell < 1:
+            raise ConfigError("data.points_per_cell must be at least 1")
+        if not self.data_sigma > 0.0:
+            raise ConfigError("data.sigma must be positive")
         if not 0.0 < self.data_test_fraction < 1.0:
             raise ConfigError("data.test_fraction must lie in (0, 1)")
-        if self.partition_strategy not in _STRATEGIES:
-            raise ConfigError(f"partition.strategy must be one of {_STRATEGIES}")
+        if self.partition_strategy not in STRATEGIES:
+            raise ConfigError(f"partition.strategy must be one of {STRATEGIES}")
         if self.network_topology not in _TOPOLOGIES:
             raise ConfigError(f"network.topology must be one of {_TOPOLOGIES}")
         if self.network_n_nodes < 1:

@@ -14,6 +14,7 @@ import numpy as np
 
 GRID = 4
 CELL = 0.25
+STRATEGIES = ("region", "random")
 
 
 class DataError(ValueError):
@@ -79,9 +80,10 @@ def cell_label(col: int, row: int) -> int:
 
 
 def cell_of(point) -> tuple[int, int]:
-    # boundary points (coordinate exactly 1.0) belong to the last cell
-    col = min(int(point[0] / CELL), GRID - 1)
-    row = min(int(point[1] / CELL), GRID - 1)
+    """The grid cell holding ``point``; a coordinate at or above 1 falls in
+    the last cell and one below 0 in the first, so every point has a cell."""
+    col = min(max(int(point[0] / CELL), 0), GRID - 1)
+    row = min(max(int(point[1] / CELL), 0), GRID - 1)
     return col, row
 
 
@@ -141,12 +143,12 @@ def load_csv(path) -> LabeledDataset:
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    strategy: str = "region"  # "region" | "random"
+    strategy: str = "region"  # one of STRATEGIES
     n_nodes: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in ("region", "random"):
+        if self.strategy not in STRATEGIES:
             raise DataError(f"unknown partition strategy {self.strategy!r}")
         if self.n_nodes < 1:
             raise DataError("n_nodes must be positive")

@@ -2,9 +2,11 @@
 
 A communication round is a barrier-synchronized superstep: every node computes
 a half-step parameter vector, messages cross the edges, and each node mixes
-what it received with doubly stochastic weights. Attackers replace their
-half-step with a vector crafted from the messages they collected; the robust
-rule bounds how far any single message can drag the receiver.
+what it received with doubly stochastic weights. A round's messages are one
+(N, T) array, row j what node j broadcasts; a node reads the rows its weight
+row selects. Attackers replace their half-step with a vector crafted from the
+messages they collected; the robust rule bounds how far any single message
+can drag the receiver.
 """
 
 from __future__ import annotations
@@ -120,17 +122,19 @@ def spectral_gap(w: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(deflated))))
 
 
-def aggregate_plain(messages: dict, weights_row: np.ndarray) -> np.ndarray:
-    """Weighted average over the closed neighborhood (self included)."""
+def aggregate_plain(messages: np.ndarray, weights_row: np.ndarray) -> np.ndarray:
+    """Weighted average over the closed neighborhood (self included).
+
+    ``messages`` is the round's (N, T) broadcast, one row per node; only the
+    rows with nonzero weight are read, in node order.
+    """
     out = None
     total = 0.0
     for j, w in enumerate(weights_row):
         if w == 0.0:
             continue
-        if j not in messages:
-            raise NetError(f"missing message from node {j}")
         total += w
-        term = w * np.asarray(messages[j], dtype=float)
+        term = w * messages[j]
         out = term if out is None else out + term
     if out is None or abs(total - 1.0) > 1e-9:
         raise NetError("weights over the neighborhood must sum to 1")
@@ -152,24 +156,27 @@ LITERAL = "literal"
 REFERENCES = (SELF_CENTERED, LITERAL)
 
 
-def aggregate_robust(self_theta: np.ndarray, messages: dict,
+def aggregate_robust(self_theta: np.ndarray, messages: np.ndarray,
                      weights_row: np.ndarray, tau: float,
                      reference: str = SELF_CENTERED) -> np.ndarray:
     """Clipping aggregation: bound each message's pull before averaging.
 
-    self_centered clips the displacement from the local half-step and adds it
-    back, so the result stays within tau of self_theta. literal clips the raw
-    vectors, which pins the whole iterate into a tau-ball; kept for comparison.
+    ``messages`` is read as in aggregate_plain. self_centered clips the
+    displacement from the local half-step and adds it back, so the result
+    stays within tau of self_theta. literal clips the raw vectors, which pins
+    the whole iterate into a tau-ball; kept for comparison.
     """
-    self_theta = np.asarray(self_theta, dtype=float)
-    if reference == SELF_CENTERED:
-        shifted = {j: self_theta + clip(np.asarray(m, float) - self_theta, tau)
-                   for j, m in messages.items()}
-        return aggregate_plain(shifted, weights_row)
-    if reference == LITERAL:
-        clipped = {j: clip(np.asarray(m, float), tau) for j, m in messages.items()}
-        return aggregate_plain(clipped, weights_row)
-    raise NetError(f"unknown clipping reference {reference!r}")
+    if reference not in REFERENCES:
+        raise NetError(f"unknown clipping reference {reference!r}")
+    clipped = np.zeros_like(messages, dtype=float)
+    for j, w in enumerate(weights_row):
+        if w == 0.0:
+            continue
+        if reference == SELF_CENTERED:
+            clipped[j] = self_theta + clip(messages[j] - self_theta, tau)
+        else:
+            clipped[j] = clip(messages[j], tau)
+    return aggregate_plain(clipped, weights_row)
 
 
 GAUSSIAN_ATTACK_STD = np.pi

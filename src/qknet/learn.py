@@ -61,10 +61,10 @@ def alignment(k: np.ndarray, labels) -> float:
     n = len(y)
     if k.shape != (n, n):
         raise LearnError("Gram size must match labels")
-    frob = float(np.sum(k * k))
-    if frob < engine.DEGENERATE_FROBENIUS:
-        raise LearnError("degenerate kernel: zero Frobenius norm")
-    return float(y @ k @ y) / (n * np.sqrt(frob))
+    try:
+        return engine._alignment_weights(k, y)[0]
+    except ValueError as exc:
+        raise LearnError(str(exc)) from None
 
 
 def loss(dataset: LabeledDataset, theta, spec: qkernel.FeatureMapSpec,

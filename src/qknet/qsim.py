@@ -241,11 +241,6 @@ def compose_depolarizing(p1: float, p2: float) -> float:
     return 1.0 - (1.0 - p1) * (1.0 - p2)
 
 
-def projector_probability(rho: np.ndarray) -> float:
-    """Probability of the all-zeros outcome, Re rho[0, 0] clamped to [0, 1]."""
-    return float(min(1.0, max(0.0, rho[0, 0].real)))
-
-
 def purity(rho: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", rho, rho).real)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dnet, engine, learn
-from .config import ExperimentConfig, dump_config
+from .config import MODES, ExperimentConfig, dump_config
 from .data import (
     CheckerboardSpec,
     LabeledDataset,
@@ -60,13 +60,11 @@ def derived_seed(master: int, tag: int, node: int = 0, rnd: int = 0) -> int:
 
 @dataclass(frozen=True)
 class NodeSetup:
-    """One node's data and settings; ``train_rows`` and ``test_rows`` are
-    where its ``train`` and ``test`` sit in the problem's global sets."""
+    """One node's settings; its data are the ``train_rows`` and ``test_rows``
+    of the problem's global sets."""
 
     node_id: int
     role: str
-    train: LabeledDataset
-    test: LabeledDataset
     noise: NoiseModel
     eta: float
     subsample: int
@@ -111,11 +109,15 @@ class EvalPoint:
 class Problem:
     """Everything a training loop needs, with data already distributed.
 
+    ``mode`` is the one the problem was prepared for; ``topology`` and
+    ``weights`` are set in decentralized mode only. Each node's data are one
+    contiguous block of ``global_train`` and of ``global_test``.
     ``schedule`` holds every round's subsample batches, drawn once for the
     ``nodes`` and the ``config.run_budget`` the problem was prepared with; a
     problem built by replacing either keeps the old draws.
     """
 
+    mode: str
     config: ExperimentConfig
     spec: FeatureMapSpec
     nodes: tuple[NodeSetup, ...]
@@ -171,11 +173,11 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     """Distribute data and freeze per-node settings for one run.
 
     Each node's local split is stratified within its partition block; the
-    global train/test sets are the unions of the local splits in node order,
-    so no node's test point ever appears in any training set and each node's
-    rows are one contiguous block of each global set.
+    global train/test sets are the local splits in node order, so no node's
+    test point ever appears in any training set and each node's rows are one
+    contiguous block of each global set.
     """
-    if mode not in ("decentralized", "centralized", "local"):
+    if mode not in MODES:
         raise RunError(f"unknown mode {mode!r}")
     dataset = _load_dataset(config)
     n_nodes = 1 if mode == "centralized" else config.network_n_nodes
@@ -202,33 +204,24 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         raise RunError("local mode trains every node; roles must be honest")
 
     nodes = []
-    locals_train, locals_test = [], []
+    train_idx, test_idx = [], []
     n_train = n_test = 0
     for i in range(n_nodes):
-        block = dataset.subset(parts[i])
-        tr_idx, te_idx = train_test_split(
-            block, config.data_test_fraction,
+        tr, te = train_test_split(
+            dataset.subset(parts[i]), config.data_test_fraction,
             seed=derived_seed(master, TAG_SPLIT, i, 0),
         )
-        train, test = block.subset(tr_idx), block.subset(te_idx)
-        locals_train.append(train)
-        locals_test.append(test)
-        p = noise_ps[i]
-        noise = NoiseModel(mode=config.nodes_noise_mode, p=p)
+        train_idx.append(parts[i][tr])
+        test_idx.append(parts[i][te])
         nodes.append(NodeSetup(
-            node_id=i, role=roles[i], train=train, test=test,
-            noise=noise, eta=etas[i], subsample=subs[i],
-            train_rows=range(n_train, n_train + len(train)),
-            test_rows=range(n_test, n_test + len(test)),
+            node_id=i, role=roles[i],
+            noise=NoiseModel(mode=config.nodes_noise_mode, p=noise_ps[i]),
+            eta=etas[i], subsample=subs[i],
+            train_rows=range(n_train, n_train + len(tr)),
+            test_rows=range(n_test, n_test + len(te)),
         ))
-        n_train += len(train)
-        n_test += len(test)
-
-    global_train = locals_train[0]
-    global_test = locals_test[0]
-    for tr, te in zip(locals_train[1:], locals_test[1:]):
-        global_train = global_train.union(tr)
-        global_test = global_test.union(te)
+        n_train += len(tr)
+        n_test += len(te)
 
     topology = weights = None
     if mode == "decentralized":
@@ -237,9 +230,11 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         dnet.check_weight_matrix(weights)
 
     problem = Problem(
-        config=config, spec=FeatureMapSpec(config.circuit_n_qubits,
-                                           config.circuit_layers),
-        nodes=tuple(nodes), global_train=global_train, global_test=global_test,
+        mode=mode, config=config,
+        spec=FeatureMapSpec(config.circuit_n_qubits, config.circuit_layers),
+        nodes=tuple(nodes),
+        global_train=dataset.subset(np.concatenate(train_idx)),
+        global_test=dataset.subset(np.concatenate(test_idx)),
         topology=topology, weights=weights, eval_noise=_modal_noise(nodes),
         schedule=(),
     )
@@ -278,27 +273,26 @@ def _subsample_schedule(problem: Problem,
     the whole schedule up front gives the same rows as drawing round by
     round. A subsample size at or above the local set means a full batch.
     """
-    groups: dict[NoiseModel, list[int]] = {}
-    for node in problem.nodes:
-        if node.role == dnet.HONEST:
-            groups.setdefault(node.noise, []).append(node.node_id)
-    etas = {noise: [problem.nodes[i].eta for i in ids]
-            for noise, ids in groups.items()}
-    seed = problem.config.run_seed
+    seed, train = problem.config.run_seed, problem.global_train
+    groups: dict[NoiseModel, list[NodeSetup]] = {}
     picks = {}  # node -> (x, y) of every round's subsample, (rounds, q, ...)
-    for ids in groups.values():
-        for i in ids:
-            train = problem.nodes[i].train
-            q = min(problem.nodes[i].subsample, len(train))
-            idx = np.empty((rounds, q), dtype=np.intp)
-            for rnd in range(rounds):
-                idx[rnd] = derived_rng(seed, TAG_SUBSAMPLE, i, rnd).choice(
-                    len(train), size=q, replace=False)
-            picks[i] = (train.x[idx], train.y[idx])
-    return tuple(tuple(_GroupBatch(noise, ids, etas[noise],
-                                   [picks[i][0][rnd] for i in ids],
-                                   [picks[i][1][rnd] for i in ids])
-                       for noise, ids in groups.items())
+    for node in problem.nodes:
+        if node.role != dnet.HONEST:
+            continue
+        groups.setdefault(node.noise, []).append(node)
+        i, rows = node.node_id, node.train_rows
+        q = min(node.subsample, len(rows))
+        idx = np.empty((rounds, q), dtype=np.intp)
+        for rnd in range(rounds):
+            idx[rnd] = derived_rng(seed, TAG_SUBSAMPLE, i, rnd).choice(
+                len(rows), size=q, replace=False)
+        idx += rows.start
+        picks[i] = (train.x[idx], train.y[idx])
+    return tuple(tuple(_GroupBatch(noise, [n.node_id for n in nodes],
+                                   [n.eta for n in nodes],
+                                   [picks[n.node_id][0][rnd] for n in nodes],
+                                   [picks[n.node_id][1][rnd] for n in nodes])
+                       for noise, nodes in groups.items())
                  for rnd in range(rounds))
 
 
@@ -328,44 +322,36 @@ def _neighbor_lists(problem: Problem) -> list[list[int]]:
     return [problem.topology.neighbors(i) for i in range(len(problem.nodes))]
 
 
-def _exchange(problem: Problem, thetas: np.ndarray, halves: np.ndarray, rnd: int,
+def _exchange(problem: Problem, halves: np.ndarray, rnd: int,
               neighbors: list[list[int]]):
     """One message exchange plus aggregation; returns the next parameters.
 
-    ``neighbors`` is ``_neighbor_lists(problem)``.
+    The messages are one (N, T) array: an honest node's row is its half-step,
+    an attacker's the vector it crafts from the half-steps it receives (a
+    fellow attacker's half-step is its last stored state). ``neighbors`` is
+    ``_neighbor_lists(problem)``.
     """
     cfg = problem.config
     w = problem.weights
-    broadcast = list(halves)
+    messages = halves.copy()
     for node in problem.nodes:
-        if node.role == dnet.HONEST:
-            continue
         i = node.node_id
-        # a fellow attacker's row of `halves` is its last stored state
-        received = [halves[j] for j in neighbors[i]]
         if node.role == dnet.GAUSSIAN_ATTACKER:
             rng = derived_rng(cfg.run_seed, TAG_ATTACK, i, rnd)
-            broadcast[i] = dnet.attack_gaussian(received, rng)
-        else:
-            broadcast[i] = dnet.attack_signflip(received)
+            messages[i] = dnet.attack_gaussian(halves[neighbors[i]], rng)
+        elif node.role == dnet.SIGNFLIP_ATTACKER:
+            messages[i] = dnet.attack_signflip(halves[neighbors[i]])
 
     robust = cfg.aggregation_rule == "robust_clip"
-    new = np.empty_like(thetas)
-    honest = []
-    for node in problem.nodes:
-        i = node.node_id
-        if node.role != dnet.HONEST:
-            new[i] = broadcast[i]
-            continue
-        honest.append(i)
-        msgs = {j: broadcast[j] for j in neighbors[i]}
-        msgs[i] = halves[i]
+    new = messages.copy()  # an attacker keeps the vector it crafted
+    honest = [n.node_id for n in problem.nodes if n.role == dnet.HONEST]
+    for i in honest:
         if robust:
             new[i] = dnet.aggregate_robust(
-                halves[i], msgs, w[i], cfg.aggregation_tau,
+                halves[i], messages, w[i], cfg.aggregation_tau,
                 reference=cfg.aggregation_reference)
         else:
-            new[i] = dnet.aggregate_plain(msgs, w[i])
+            new[i] = dnet.aggregate_plain(messages, w[i])
 
     if robust and cfg.aggregation_reference == dnet.SELF_CENTERED:
         pulls = np.linalg.norm(new[honest] - halves[honest], axis=1)
@@ -381,11 +367,18 @@ def _exchange(problem: Problem, thetas: np.ndarray, halves: np.ndarray, rnd: int
     return new
 
 
-def _eval_noise_for(problem: Problem, noise: NoiseModel) -> NoiseModel:
-    shots = problem.config.eval_shots
-    if shots == 0:
-        return noise
-    return NoiseModel(mode=noise.mode, p=noise.p, shots=shots)
+def _score(problem: Problem, theta: np.ndarray, noise: NoiseModel, stream: int,
+           rnd: int, splits=None):
+    """``learn.score`` on the global sets under ``noise``; with ``eval.shots``
+    set, shot-sampled from the (TAG_SHOTS, stream, rnd) stream."""
+    cfg = problem.config
+    rng = None
+    if cfg.eval_shots:
+        noise = replace(noise, shots=cfg.eval_shots)
+        rng = derived_rng(cfg.run_seed, TAG_SHOTS, stream, rnd)
+    return learn.score(problem.spec, theta, problem.global_train,
+                       problem.global_test, noise, cfg.ridge_lam, rng=rng,
+                       splits=splits)
 
 
 def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,
@@ -395,15 +388,10 @@ def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,
     The node's sets are blocks of the global ones, so one simulation of the
     global sets serves all three scores.
     """
-    cfg = problem.config
-    noise = _eval_noise_for(problem, node.noise)
-    rng = (derived_rng(cfg.run_seed, TAG_SHOTS, node.node_id, rnd)
-           if noise.shots is not None else None)
     every_train = range(len(problem.global_train))
     every_test = range(len(problem.global_test))
-    s1, s2, s3 = learn.score(
-        problem.spec, theta, problem.global_train, problem.global_test, noise,
-        cfg.ridge_lam, rng=rng,
+    s1, s2, s3 = _score(
+        problem, theta, node.noise, node.node_id, rnd,
         splits=[(node.train_rows, node.test_rows), (node.train_rows, every_test),
                 (every_train, every_test)])
     return ScoreReport(node=node.node_id, score1=s1, score2=s2, score3=s3)
@@ -411,20 +399,18 @@ def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,
 
 def _evaluate(problem: Problem, thetas: np.ndarray, rnd: int) -> EvalPoint:
     """Score the honest nodes' mean model; node scores wait for the end."""
-    cfg = problem.config
     honest_ids = [n.node_id for n in problem.nodes if n.role == dnet.HONEST]
     mean_theta = thetas[honest_ids].mean(axis=0)
-    noise = _eval_noise_for(problem, problem.eval_noise)
-    rng = (derived_rng(cfg.run_seed, TAG_SHOTS, len(problem.nodes), rnd)
-           if noise.shots is not None else None)
-    acc = learn.score(problem.spec, mean_theta, problem.global_train,
-                      problem.global_test, noise, cfg.ridge_lam, rng=rng)
+    acc = _score(problem, mean_theta, problem.eval_noise, len(problem.nodes), rnd)
     return EvalPoint(round=rnd, mean_model_accuracy=acc)
 
 
 def run_problem(problem: Problem, mode: str) -> RunResult:
-    """Drive the round loop for an assembled Problem."""
+    """Drive the round loop for a Problem prepared for ``mode``."""
     cfg = problem.config
+    if mode != problem.mode:
+        raise RunError(
+            f"the problem was prepared for mode {problem.mode!r}, not {mode!r}")
     if len(problem.schedule) < cfg.run_budget:
         raise RunError(
             f"run.budget = {cfg.run_budget} exceeds the {len(problem.schedule)}"
@@ -437,7 +423,7 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
     for rnd in range(cfg.run_budget):
         halves, metrics = _half_steps(problem, thetas, problem.schedule[rnd])
         if mode == "decentralized":
-            thetas = _exchange(problem, thetas, halves, rnd, neighbors)
+            thetas = _exchange(problem, halves, rnd, neighbors)
         else:
             thetas = halves
         consensus = (dnet.consensus_distance(thetas)

@@ -343,7 +343,7 @@ def test_criterion_06_matches_centralized_on_shared_data():
     batches_cen = runner._subsample_schedule(prob_cen, 10)
     for rnd in range(10):
         halves_dec, _ = runner._half_steps(prob_dec, thetas_dec, batches_dec[rnd])
-        thetas_dec = runner._exchange(prob_dec, thetas_dec, halves_dec, rnd,
+        thetas_dec = runner._exchange(prob_dec, halves_dec, rnd,
                                       runner._neighbor_lists(prob_dec))
         halves_cen, _ = runner._half_steps(prob_cen, thetas_cen, batches_cen[rnd])
         thetas_cen = np.stack(halves_cen)

@@ -105,6 +105,10 @@ def test_validation_catches_bad_fields():
         ("circuit.n_qubits = 13", "circuit.n_qubits"),
         ("circuit.n_qubits = 12", None),
         ("circuit.layers = 0", "circuit.layers"),
+        ("data.points_per_cell = 0", "data.points_per_cell"),
+        ("data.points_per_cell = 1", None),
+        ("data.sigma = 0", "data.sigma"),
+        ("data.sigma = 1e-9", None),
     ],
 )
 def test_out_of_range_values_fail_at_parse_time_naming_the_key(line, key):

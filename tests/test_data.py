@@ -158,6 +158,16 @@ def test_region_partition_groups_columns():
         assert labs == {1, -1}
 
 
+def test_region_partition_covers_points_outside_the_unit_square():
+    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=3, seed=0))
+    x = ds.x.copy()
+    x[0], x[1] = (-0.5, 0.1), (1.7, -3.0)
+    outside = LabeledDataset(x, ds.y)
+    assert data.cell_of(x[0]) == (0, 0) and data.cell_of(x[1]) == (3, 0)
+    parts = data.partition(outside, PartitionPlan(strategy="region", n_nodes=4))
+    assert partition_is_disjoint_cover(parts, 48)
+
+
 def test_region_partition_requires_divisor_of_grid():
     ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=2, seed=0))
     with pytest.raises(DataError):

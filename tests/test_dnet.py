@@ -104,17 +104,17 @@ def test_consensus_iteration_contracts_at_the_spectral_gap():
 
 def test_aggregate_plain_is_neighborhood_average():
     w = dnet.metropolis_weights(dnet.ring(4))
-    msgs = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 3.0]), 3: np.array([2.0, 0.0])}
+    # node 2 is not a neighbour of node 0, so its row is never read
+    msgs = np.array([[1.0, 0.0], [0.0, 3.0], [np.nan, np.nan], [2.0, 0.0]])
     out = dnet.aggregate_plain(msgs, w[0])
     assert np.allclose(out, [1.0, 1.0])
 
 
-def test_aggregate_plain_missing_message_and_bad_weights():
-    w = dnet.metropolis_weights(dnet.ring(4))
+def test_aggregate_plain_rejects_weights_not_summing_to_one():
     with pytest.raises(dnet.NetError):
-        dnet.aggregate_plain({0: np.zeros(2), 1: np.zeros(2)}, w[0])
+        dnet.aggregate_plain(np.zeros((4, 2)), np.array([0.5, 0.0, 0.0, 0.0]))
     with pytest.raises(dnet.NetError):
-        dnet.aggregate_plain({0: np.zeros(2)}, np.array([0.5, 0.0, 0.0, 0.0]))
+        dnet.aggregate_plain(np.zeros((4, 2)), np.zeros(4))
 
 
 def test_clip_preserves_direction_and_caps_norm():
@@ -134,7 +134,7 @@ def test_self_centered_clipping_bounds_the_pull():
     tau = 0.5
     for _ in range(20):
         self_theta = rng.normal(size=6)
-        msgs = {j: rng.normal(scale=5.0, size=6) for j in (0, 1, 3)}
+        msgs = rng.normal(scale=5.0, size=(4, 6))
         msgs[0] = self_theta
         out = dnet.aggregate_robust(self_theta, msgs, w[0], tau)
         assert np.linalg.norm(out - self_theta) <= tau + 1e-12
@@ -143,11 +143,8 @@ def test_self_centered_clipping_bounds_the_pull():
 def test_clipping_is_inert_for_nearby_messages():
     w = dnet.metropolis_weights(dnet.ring(4))
     self_theta = np.array([1.0, 1.0])
-    msgs = {
-        0: self_theta,
-        1: self_theta + np.array([0.01, 0.0]),
-        3: self_theta - np.array([0.0, 0.01]),
-    }
+    msgs = np.stack([self_theta, self_theta + np.array([0.01, 0.0]),
+                     np.full(2, 50.0), self_theta - np.array([0.0, 0.01])])
     robust = dnet.aggregate_robust(self_theta, msgs, w[0], tau=1.0)
     plain = dnet.aggregate_plain(msgs, w[0])
     assert np.max(np.abs(robust - plain)) < 1e-12
@@ -156,7 +153,7 @@ def test_clipping_is_inert_for_nearby_messages():
 def test_literal_clipping_caps_raw_vectors():
     w = dnet.metropolis_weights(dnet.ring(4))
     big = np.array([10.0, 0.0])
-    msgs = {0: big, 1: big, 3: big}
+    msgs = np.tile(big, (4, 1))
     out = dnet.aggregate_robust(big, msgs, w[0], tau=0.5, reference=dnet.LITERAL)
     assert abs(np.linalg.norm(out) - 0.5) < 1e-12
     with pytest.raises(dnet.NetError):

@@ -189,6 +189,20 @@ def test_kernel_is_symmetric():
             assert abs(a - b) < 1e-10
 
 
+def test_readout_passes_the_first_diagonal_through():
+    spec, exact = FeatureMapSpec(n_qubits=1, layers=1), NoiseModel()
+    assert qkernel._readout(0.5, spec, exact) == 0.5
+    rho = qsim.zero_state(1)
+    assert qkernel._readout(rho[0, 0].real, spec, exact) == 1.0
+    rho = qsim.apply_gate(rho, qsim.hadamard(0))
+    assert abs(qkernel._readout(rho[0, 0].real, spec, exact) - 0.5) < 1e-12
+
+
+def test_readout_clamps_rounding_noise_into_the_unit_interval():
+    spec, exact = FeatureMapSpec(n_qubits=1, layers=1), NoiseModel()
+    assert qkernel._readout(1.0 + 2e-14, spec, exact) == 1.0
+
+
 def test_kernel_values_stay_in_unit_interval():
     rng = np.random.default_rng(27)
     for noise in (

@@ -254,18 +254,6 @@ def test_partial_trace_replace_mixes_one_wire():
     assert np.max(np.abs(out - expected)) < 1e-12
 
 
-def test_projector_probability_tracks_first_diagonal():
-    rho = qsim.zero_state(1)
-    assert qsim.projector_probability(rho) == 1.0
-    rho = qsim.apply_gate(rho, qsim.hadamard(0))
-    assert abs(qsim.projector_probability(rho) - 0.5) < 1e-12
-
-
-def test_projector_probability_clamps_rounding_noise():
-    rho = np.array([[1.0 + 2e-14, 0.0], [0.0, -2e-14]], dtype=complex)
-    assert qsim.projector_probability(rho) == 1.0
-
-
 def test_purity_of_pure_and_mixed_states():
     assert abs(qsim.purity(qsim.zero_state(3)) - 1.0) < 1e-12
     mixed = np.eye(4, dtype=complex) / 4.0

@@ -1,12 +1,14 @@
 """Training loop orchestration: data distribution, rounds, outputs."""
 
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qknet import dnet, learn, runner
+from qknet import dnet, engine, learn, runner
 from qknet.config import ExperimentConfig
 from qknet.qkernel import NoiseModel
 
@@ -43,16 +45,16 @@ def test_prepare_problem_distributes_data_without_leakage():
     problem = runner.prepare_problem(tiny_config(), "decentralized")
     assert len(problem.nodes) == 4
     assert problem.topology is not None and problem.weights is not None
-    total = sum(len(n.train) + len(n.test) for n in problem.nodes)
+    total = sum(len(n.train_rows) + len(n.test_rows) for n in problem.nodes)
     assert total == 32
-    assert len(problem.global_train) == sum(len(n.train) for n in problem.nodes)
-    assert len(problem.global_test) == sum(len(n.test) for n in problem.nodes)
+    assert len(problem.global_train) == sum(len(n.train_rows) for n in problem.nodes)
+    assert len(problem.global_test) == sum(len(n.test_rows) for n in problem.nodes)
     # no point appears on both sides of the global split
     train_rows = {tuple(row) for row in problem.global_train.x}
     test_rows = {tuple(row) for row in problem.global_test.x}
     assert not train_rows & test_rows
     for node in problem.nodes:
-        assert set(node.train.y) == {1, -1}
+        assert set(problem.global_train.y[node.train_rows]) == {1, -1}
         assert node.noise == NoiseModel(mode="per_gate", p=0.0005)
 
 
@@ -60,8 +62,9 @@ def test_prepare_problem_centralized_pools_everything():
     problem = runner.prepare_problem(tiny_config(), "centralized")
     assert len(problem.nodes) == 1
     assert problem.topology is None
-    assert len(problem.nodes[0].train) == len(problem.global_train)
-    assert len(problem.nodes[0].train) + len(problem.nodes[0].test) == 32
+    assert problem.nodes[0].train_rows == range(len(problem.global_train))
+    assert problem.nodes[0].test_rows == range(len(problem.global_test))
+    assert len(problem.global_train) + len(problem.global_test) == 32
 
 
 def test_prepare_problem_rejects_bad_modes_and_roles():
@@ -70,7 +73,13 @@ def test_prepare_problem_rejects_bad_modes_and_roles():
     cfg = tiny_config(nodes_roles=("honest", "honest", "signflip_attacker", "honest"))
     with pytest.raises(runner.RunError):
         runner.prepare_problem(cfg, "local")
-    runner.prepare_problem(cfg, "decentralized")
+    problem = runner.prepare_problem(cfg, "decentralized")
+    for mode in ("bogus", "local"):
+        with pytest.raises(runner.RunError, match="prepared for mode"):
+            runner.run_problem(problem, mode)
+    centralized = runner.prepare_problem(tiny_config(), "centralized")
+    with pytest.raises(runner.RunError, match="prepared for mode"):
+        runner.run_problem(centralized, "decentralized")
 
 
 def test_modal_noise_prefers_the_common_model():
@@ -215,8 +224,7 @@ def test_clipped_aggregation_stays_within_tau():
     thetas = runner._init_thetas(problem)
     halves, _ = runner._half_steps(problem, thetas,
                                    runner._subsample_schedule(problem, 1)[0])
-    new = runner._exchange(problem, thetas, halves, 0,
-                           runner._neighbor_lists(problem))
+    new = runner._exchange(problem, halves, 0, runner._neighbor_lists(problem))
     for node in problem.nodes:
         if node.role == dnet.HONEST:
             pull = np.linalg.norm(new[node.node_id] - halves[node.node_id])
@@ -230,12 +238,12 @@ def test_exchange_safety_checks_fire(monkeypatch):
     batches = runner._subsample_schedule(problem, 1)[0]
     halves, _ = runner._half_steps(problem, thetas, batches)
     neighbors = runner._neighbor_lists(problem)
-    runner._exchange(problem, thetas, halves, 0, neighbors)
+    runner._exchange(problem, halves, 0, neighbors)
     plain = dnet.aggregate_plain
     monkeypatch.setattr(dnet, "aggregate_plain",
                         lambda msgs, w: plain(msgs, w) + 1e-6)
     with pytest.raises(runner.RunError, match="moved the network mean"):
-        runner._exchange(problem, thetas, halves, 0, neighbors)
+        runner._exchange(problem, halves, 0, neighbors)
     monkeypatch.undo()
 
     cfg = tiny_config(
@@ -246,10 +254,10 @@ def test_exchange_safety_checks_fire(monkeypatch):
     batches = runner._subsample_schedule(problem, 1)[0]
     halves, _ = runner._half_steps(problem, thetas, batches)
     neighbors = runner._neighbor_lists(problem)
-    runner._exchange(problem, thetas, halves, 0, neighbors)
+    runner._exchange(problem, halves, 0, neighbors)
     monkeypatch.setattr(dnet, "clip", lambda v, tau: 2.0 * np.asarray(v, float))
     with pytest.raises(runner.RunError, match="beyond tau"):
-        runner._exchange(problem, thetas, halves, 0, neighbors)
+        runner._exchange(problem, halves, 0, neighbors)
 
 
 def test_subsample_schedule_matches_per_round_draws():
@@ -262,7 +270,8 @@ def test_subsample_schedule_matches_per_round_draws():
             assert [b.ids for b in batches] == [[0, 2, 3], [1]]
             for batch in batches:
                 for i, x, y in zip(batch.ids, batch.xs, batch.ys):
-                    train = problem.nodes[i].train
+                    train = problem.global_train.subset(
+                        problem.nodes[i].train_rows)
                     idx = runner.derived_rng(
                         0, runner.TAG_SUBSAMPLE, i, rnd).choice(
                             len(train), size=3, replace=False)
@@ -288,18 +297,18 @@ def test_evaluate_node_matches_separate_score_calls():
         problem = runner.prepare_problem(cfg, "decentralized")
         thetas = runner._init_thetas(problem)
         for node in problem.nodes:
-            assert np.array_equal(problem.global_train.x[node.train_rows], node.train.x)
-            assert np.array_equal(problem.global_test.x[node.test_rows], node.test.x)
             theta = thetas[node.node_id]
             report = runner.evaluate_node(problem, node, theta, 3)
-            noise = runner._eval_noise_for(problem, node.noise)
+            noise = replace(node.noise, shots=shots or None)
             rng = (runner.derived_rng(0, runner.TAG_SHOTS, node.node_id, 3)
                    if shots else None)
-            want = [learn.score(problem.spec, theta, train, test, noise,
+            train = problem.global_train.subset(node.train_rows)
+            test = problem.global_test.subset(node.test_rows)
+            want = [learn.score(problem.spec, theta, tr, te, noise,
                                 cfg.ridge_lam, rng=rng)
-                    for train, test in ((node.train, node.test),
-                                        (node.train, problem.global_test),
-                                        (problem.global_train, problem.global_test))]
+                    for tr, te in ((train, test),
+                                   (train, problem.global_test),
+                                   (problem.global_train, problem.global_test))]
             assert [report.score1, report.score2, report.score3] == want
 
 
@@ -354,3 +363,39 @@ def test_write_outputs_creates_result_files(tmp_path):
     assert np.max(np.abs(gram - gram.T)) < 1e-12
     parsed = json.loads((out / "scores.json").read_text())
     assert parsed["mode"] == "decentralized"
+
+
+def _benchmark_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracing_sees_every_hooked_layer():
+    """The benchmark wraps module attributes and binds the hooked calls'
+    arguments by name; a traced run must reach every hook."""
+    spans = _benchmark_spans()
+    cfg = tiny_config(
+        nodes_roles=("honest", "gaussian_attacker", "honest", "honest"),
+        aggregation_rule="robust_clip", run_budget=2)
+    problem = runner.prepare_problem(cfg, "decentralized")
+    clip = dnet.clip
+    tracer = spans.Tracer()
+    with spans.installed(tracer, engine, learn, dnet):
+        with tracer.span(spans.ROOT):
+            runner.run_problem(problem, "decentralized")
+    assert dnet.clip is clip
+    calls = {}
+    for name, *_ in tracer.spans:
+        calls[name] = calls.get(name, 0) + 1
+    for name in ("engine.multi_alignment_grads", "engine.feature_states.train",
+                 "engine.feature_states.eval", "engine.backward", "dnet.clip"):
+        assert calls.get(name, 0) > 0, name
+    # 3 honest nodes x 4 subsampled rows x 2 rounds
+    assert tracer.rows["engine.feature_states.train"] == 24
+    assert tracer.rows["engine.backward"] == 24
+    assert tracer.rows["engine.feature_states.eval"] > 0
+    # one clip per message with nonzero weight: 3 honest nodes x 3 x 2 rounds
+    assert tracer.clip_offered == calls["dnet.clip"] == 18
