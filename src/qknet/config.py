@@ -45,7 +45,6 @@ class ExperimentConfig:
     nodes_subsample: tuple[int, ...] = (8,)
     aggregation_rule: str = "plain"
     aggregation_tau: float = 0.5
-    aggregation_reference: str = "self_centered"
     eval_shots: int = 0
     init_shared: bool = False
     init_scale: float = 0.1
@@ -85,15 +84,14 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown node role {role!r}")
         if self.aggregation_rule not in _RULES:
             raise ConfigError(f"aggregation.rule must be one of {_RULES}")
-        if self.aggregation_reference not in dnet.REFERENCES:
-            raise ConfigError(
-                f"aggregation.reference must be one of {dnet.REFERENCES}"
-            )
         if not self.aggregation_tau > 0:
             raise ConfigError("aggregation.tau must be positive")
         for p in self.nodes_noise_p:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError("nodes.noise_p entries must lie in [0, 1]")
+        if self.nodes_noise_mode == "exact" and any(self.nodes_noise_p):
+            raise ConfigError(
+                "nodes.noise_mode = exact carries no noise; set nodes.noise_p = 0")
         if any(eta < 0.0 for eta in self.nodes_eta):
             raise ConfigError("nodes.eta entries must be non-negative")
         if any(q < 1 for q in self.nodes_subsample):

@@ -49,10 +49,6 @@ class LabeledDataset:
         idx = np.asarray(idx, dtype=int)
         return LabeledDataset(self.x[idx], self.y[idx])
 
-    def union(self, other: "LabeledDataset") -> "LabeledDataset":
-        return LabeledDataset(np.vstack([self.x, other.x]),
-                              np.concatenate([self.y, other.y]))
-
 
 @dataclass(frozen=True)
 class CheckerboardSpec:
@@ -65,10 +61,6 @@ class CheckerboardSpec:
             raise DataError("points_per_cell must be positive")
         if not self.sigma > 0:
             raise DataError("sigma must be positive")
-
-    @property
-    def total_points(self):
-        return GRID * GRID * self.points_per_cell
 
 
 def cell_center(col: int, row: int):

@@ -5,7 +5,8 @@ a half-step parameter vector, messages cross the edges, and each node mixes
 what it received with doubly stochastic weights. A round's messages are one
 (N, T) array, row j what node j broadcasts; a node reads the rows its weight
 row selects. Attackers replace their half-step with a vector crafted from the
-messages they collected; the robust rule bounds how far any single message
+messages they collected; the robust rule clips each message's displacement
+from the receiver's own half-step, which bounds how far any single message
 can drag the receiver.
 """
 
@@ -151,31 +152,20 @@ def clip(v: np.ndarray, tau: float) -> np.ndarray:
     return (tau / norm) * v
 
 
-SELF_CENTERED = "self_centered"
-LITERAL = "literal"
-REFERENCES = (SELF_CENTERED, LITERAL)
-
-
 def aggregate_robust(self_theta: np.ndarray, messages: np.ndarray,
-                     weights_row: np.ndarray, tau: float,
-                     reference: str = SELF_CENTERED) -> np.ndarray:
+                     weights_row: np.ndarray, tau: float) -> np.ndarray:
     """Clipping aggregation: bound each message's pull before averaging.
 
-    ``messages`` is read as in aggregate_plain. self_centered clips the
-    displacement from the local half-step and adds it back, so the result
-    stays within tau of self_theta. literal clips the raw vectors, which pins
-    the whole iterate into a tau-ball; kept for comparison.
+    ``messages`` is read as in aggregate_plain. Each message's displacement
+    from the local half-step is clipped to norm tau and added back, so the
+    result stays within tau of self_theta (self-centered clipping; He,
+    Karimireddy & Jaggi, arXiv:2202.01545).
     """
-    if reference not in REFERENCES:
-        raise NetError(f"unknown clipping reference {reference!r}")
     clipped = np.zeros_like(messages, dtype=float)
     for j, w in enumerate(weights_row):
         if w == 0.0:
             continue
-        if reference == SELF_CENTERED:
-            clipped[j] = self_theta + clip(messages[j] - self_theta, tau)
-        else:
-            clipped[j] = clip(messages[j], tau)
+        clipped[j] = self_theta + clip(messages[j] - self_theta, tau)
     return aggregate_plain(clipped, weights_row)
 
 
@@ -190,6 +180,14 @@ this scale can pull honest nodes off their trained angles.
 """
 
 
+def _received_mean(neighbor_messages) -> np.ndarray:
+    """Per-coordinate mean of the messages an attacker received."""
+    msgs = [np.asarray(m, dtype=float) for m in neighbor_messages]
+    if not msgs:
+        raise NetError("attacker needs at least one received message")
+    return np.stack(msgs).mean(axis=0)
+
+
 def attack_gaussian(neighbor_messages, rng: np.random.Generator) -> np.ndarray:
     """Draw from a Normal centered on the mean of the received messages.
 
@@ -197,17 +195,11 @@ def attack_gaussian(neighbor_messages, rng: np.random.Generator) -> np.ndarray:
     coordinate has the fixed spread GAUSSIAN_ATTACK_STD, so the injection
     does not vanish when the neighbors agree.
     """
-    msgs = [np.asarray(m, dtype=float) for m in neighbor_messages]
-    if not msgs:
-        raise NetError("attacker needs at least one received message")
-    return rng.normal(np.stack(msgs).mean(axis=0), GAUSSIAN_ATTACK_STD)
+    return rng.normal(_received_mean(neighbor_messages), GAUSSIAN_ATTACK_STD)
 
 
 def attack_signflip(neighbor_messages) -> np.ndarray:
-    msgs = [np.asarray(m, dtype=float) for m in neighbor_messages]
-    if not msgs:
-        raise NetError("attacker needs at least one received message")
-    return -np.stack(msgs).mean(axis=0)
+    return -_received_mean(neighbor_messages)
 
 
 def consensus_distance(thetas) -> float:

@@ -304,22 +304,6 @@ def backward(
     return grad
 
 
-def pair_kernel_grad(
-    spec: FeatureMapSpec, theta, x1, x2, noise: NoiseModel
-) -> tuple[float, np.ndarray]:
-    """(K(x1, x2), dK/dtheta) through the state-overlap route."""
-    if noise.shots is not None:
-        raise ValueError("gradients require expectation values")
-    x = np.vstack([np.asarray(x1, float), np.asarray(x2, float)])
-    states, tapes = feature_states(spec, theta, x, noise, record_tape=True)
-    k = float(gram_from_states(states[:1], states[1:2])[0, 0])
-    grad = backward(spec, noise, tapes, states[::-1] / spec.dim).sum(axis=0)
-    if noise.mode == "global":
-        k = analytic_noisy_kernel(k, noise.p, spec.dim)
-        grad = (1.0 - noise.p) * grad
-    return k, grad
-
-
 def _affine_global(k: np.ndarray, noise: NoiseModel, dim: int) -> np.ndarray:
     """The global analytic map in global mode; the other modes keep ``k``."""
     if noise.mode == "global":

@@ -19,13 +19,6 @@ class LearnError(ValueError):
     pass
 
 
-def ideal_gram(labels) -> np.ndarray:
-    y = np.asarray(labels, dtype=float)
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise LearnError("labels must be -1 or +1")
-    return np.outer(y, y)
-
-
 def gram(spec: qkernel.FeatureMapSpec, theta, dataset: LabeledDataset,
          noise: qkernel.NoiseModel, rng=None) -> np.ndarray:
     """Gram matrix of the dataset under the given noise model.

@@ -213,20 +213,6 @@ def kernel_eval(
     return value
 
 
-def kernel_grad(
-    spec: FeatureMapSpec,
-    theta,
-    x1,
-    x2,
-    noise: NoiseModel,
-    t: int,
-) -> float:
-    """Exact derivative dK/d theta_t by the parameter-shift rule."""
-    if not 0 <= t < spec.n_params:
-        raise ValueError(f"parameter index {t} out of range")
-    return float(parameter_shift_gradient(spec, theta, x1, x2, noise)[t])
-
-
 def parameter_shift_gradient(
     spec: FeatureMapSpec, theta, x1, x2, noise: NoiseModel
 ) -> np.ndarray:

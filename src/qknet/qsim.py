@@ -184,16 +184,9 @@ def apply_kraus(rho: np.ndarray, kraus_ops, qubit: int | None = None) -> np.ndar
         if qubit is None:
             raise ValueError("single-qubit Kraus set needs a target qubit")
         _check_qubit(qubit, n)
-        d = rho.shape[0]
-        left = 1 << qubit
-        right = d >> (qubit + 1)
         out = np.zeros_like(rho)
         for e in kraus_ops:
-            r = rho.reshape(left, 2, right, d)
-            r = np.einsum("ij,ajbc->aibc", e, r)
-            r = r.reshape(d, left, 2, right)
-            r = np.einsum("ij,bajc->baic", e.conj(), r)
-            out += r.reshape(d, d)
+            out += _apply_single(rho, e, qubit, n)
         return out
     if dim != rho.shape[0]:
         raise ValueError(
@@ -226,14 +219,6 @@ def apply_depolarizing_local(rho: np.ndarray, qubit: int, p: float) -> np.ndarra
     if p == 0.0:
         return rho.copy()
     return (1.0 - p) * rho + p * partial_trace_replace(rho, qubit)
-
-
-def apply_depolarizing_global(rho: np.ndarray, p: float) -> np.ndarray:
-    """Whole-register depolarizing: rho -> (1-p) rho + p I/D."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing rate must be in [0, 1], got {p}")
-    d = rho.shape[0]
-    return (1.0 - p) * rho + (p / d) * np.eye(d, dtype=complex)
 
 
 def compose_depolarizing(p1: float, p2: float) -> float:

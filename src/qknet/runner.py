@@ -24,6 +24,7 @@ from . import dnet, engine, learn
 from .config import MODES, ExperimentConfig, dump_config
 from .data import (
     CheckerboardSpec,
+    DataError,
     LabeledDataset,
     PartitionPlan,
     gen_checkerboard,
@@ -165,7 +166,7 @@ def _modal_noise(nodes) -> NoiseModel:
     """Most common honest noise model; earliest node breaks ties."""
     honest = [n.noise for n in nodes if n.role == dnet.HONEST]
     if not honest:
-        raise RunError("no honest nodes to evaluate")
+        raise RunError("nodes.roles has no honest node to evaluate")
     return max(honest, key=honest.count)
 
 
@@ -191,7 +192,12 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
             n_nodes=n_nodes,
             seed=derived_seed(master, TAG_DATA, 1, 0),
         )
-        parts = partition(dataset, plan)
+        try:
+            parts = partition(dataset, plan)
+        except DataError as exc:
+            raise RunError(
+                f"partition.strategy = {plan.strategy} cannot split the data"
+                f" over network.n_nodes = {n_nodes}: {exc}") from exc
 
     roles = config.per_node("nodes_roles")
     noise_ps = config.per_node("nodes_noise_p")
@@ -225,7 +231,12 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
 
     topology = weights = None
     if mode == "decentralized":
-        topology = _build_topology(config)
+        try:
+            topology = _build_topology(config)
+        except dnet.NetError as exc:
+            raise RunError(
+                f"network.topology = {config.network_topology} with"
+                f" network.n_nodes = {n_nodes}: {exc}") from exc
         weights = dnet.metropolis_weights(topology)
         dnet.check_weight_matrix(weights)
 
@@ -329,7 +340,10 @@ def _exchange(problem: Problem, halves: np.ndarray, rnd: int,
     The messages are one (N, T) array: an honest node's row is its half-step,
     an attacker's the vector it crafts from the half-steps it receives (a
     fellow attacker's half-step is its last stored state). ``neighbors`` is
-    ``_neighbor_lists(problem)``.
+    ``_neighbor_lists(problem)``. Two safety checks follow: under
+    ``robust_clip`` no honest node moves farther than tau from its
+    half-step; under plain mixing in a network without attackers the
+    network mean does not move.
     """
     cfg = problem.config
     w = problem.weights
@@ -348,12 +362,11 @@ def _exchange(problem: Problem, halves: np.ndarray, rnd: int,
     for i in honest:
         if robust:
             new[i] = dnet.aggregate_robust(
-                halves[i], messages, w[i], cfg.aggregation_tau,
-                reference=cfg.aggregation_reference)
+                halves[i], messages, w[i], cfg.aggregation_tau)
         else:
             new[i] = dnet.aggregate_plain(messages, w[i])
 
-    if robust and cfg.aggregation_reference == dnet.SELF_CENTERED:
+    if robust:
         pulls = np.linalg.norm(new[honest] - halves[honest], axis=1)
         worst = int(np.argmax(pulls))
         if pulls[worst] > cfg.aggregation_tau + 1e-9:

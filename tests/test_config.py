@@ -109,6 +109,8 @@ def test_validation_catches_bad_fields():
         ("data.points_per_cell = 1", None),
         ("data.sigma = 0", "data.sigma"),
         ("data.sigma = 1e-9", None),
+        ("nodes.noise_mode = exact", "nodes.noise_p"),
+        ("nodes.noise_mode = exact\nnodes.noise_p = 0", None),
     ],
 )
 def test_out_of_range_values_fail_at_parse_time_naming_the_key(line, key):

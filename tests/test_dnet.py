@@ -150,16 +150,6 @@ def test_clipping_is_inert_for_nearby_messages():
     assert np.max(np.abs(robust - plain)) < 1e-12
 
 
-def test_literal_clipping_caps_raw_vectors():
-    w = dnet.metropolis_weights(dnet.ring(4))
-    big = np.array([10.0, 0.0])
-    msgs = np.tile(big, (4, 1))
-    out = dnet.aggregate_robust(big, msgs, w[0], tau=0.5, reference=dnet.LITERAL)
-    assert abs(np.linalg.norm(out) - 0.5) < 1e-12
-    with pytest.raises(dnet.NetError):
-        dnet.aggregate_robust(big, msgs, w[0], tau=0.5, reference="median")
-
-
 def test_gaussian_attack_moment_matching():
     n = 4000
     # identical messages (a network at consensus) must not collapse the draw

@@ -201,18 +201,6 @@ def test_train_test_grams_match_separate_evaluations():
                 assert abs(k_cross[i, j] - want) < 1e-10
 
 
-def test_pair_kernel_grad_matches_parameter_shift():
-    rng = np.random.default_rng(67)
-    for noise in MODELS:
-        spec = FeatureMapSpec(n_qubits=2, layers=2)
-        theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-        x1, x2 = random_batch(rng, 2)
-        k, grad = engine.pair_kernel_grad(spec, theta, x1, x2, noise)
-        assert abs(k - qkernel.kernel_eval(spec, theta, x1, x2, noise)) < 1e-10
-        shift = qkernel.parameter_shift_gradient(spec, theta, x1, x2, noise)
-        assert np.max(np.abs(grad - shift)) < 1e-9
-
-
 @pytest.mark.parametrize("n_qubits", [1, 2, 5])
 def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
     """Every engine route applies `qkernel.analytic_noisy_kernel` and no copy."""
@@ -231,19 +219,38 @@ def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
     exact_grams = engine.train_test_grams(spec, theta, x_train, x_test, exact)
     for got, want in zip(grams, exact_grams):
         assert np.array_equal(got, mapped(want))
-    k, grad = engine.pair_kernel_grad(spec, theta, x_train[0], x_test[0], noise)
-    k_exact, grad_exact = engine.pair_kernel_grad(
-        spec, theta, x_train[0], x_test[0], exact)
-    assert k == mapped(k_exact)
-    assert np.array_equal(grad, (1.0 - noise.p) * grad_exact)
 
 
-def test_pair_kernel_grad_rejects_unsupported_models():
-    spec = FeatureMapSpec(n_qubits=2, layers=1)
-    theta = np.zeros(spec.n_params)
-    x = np.zeros(2)
-    with pytest.raises(ValueError):
-        engine.pair_kernel_grad(spec, theta, x, x, NoiseModel(shots=16))
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_multi_alignment_grads_match_parameter_shift(n_qubits):
+    """Training's gradient against the gate-by-gate parameter-shift rule.
+
+    Two nodes with their own parameters share one call. The reference
+    alignment is that of the `qkernel.kernel_eval` Gram K, and the reference
+    gradient is sum_ij W_ij dK_ij, every entry's dK from
+    `qkernel.parameter_shift_gradient`, the diagonal included, with
+    W = dA/dK = y yT / (n |K|_F) - A K / |K|_F^2.
+    """
+    rng = np.random.default_rng(89)
+    spec = FeatureMapSpec(n_qubits=n_qubits, layers=2)
+    ys = [np.array([1.0, -1.0, 1.0]), balanced_labels(4)]
+    for noise in MODELS:
+        thetas = rng.uniform(-np.pi, np.pi, size=(2, spec.n_params))
+        xs = [random_batch(rng, len(y)) for y in ys]
+        values, grads = engine.multi_alignment_grads(spec, thetas, xs, ys, noise)
+        for theta, x, y, a, g in zip(thetas, xs, ys, values, grads):
+            n = len(y)
+            k = np.array([[qkernel.kernel_eval(spec, theta, xi, xj, noise)
+                           for xj in x] for xi in x])
+            frob = np.linalg.norm(k)
+            want_a = (y @ k @ y) / (n * frob)
+            w = np.outer(y, y) / (n * frob) - want_a * k / frob**2
+            want_g = sum(
+                w[i, j] * qkernel.parameter_shift_gradient(
+                    spec, theta, x[i], x[j], noise)
+                for i in range(n) for j in range(n))
+            assert abs(a - want_a) < 1e-12
+            assert np.max(np.abs(g - want_g)) < 1e-12
 
 
 def test_alignment_value_matches_gram_route():
@@ -378,18 +385,6 @@ def test_property_train_test_grams_match_reference(case, n_train, n_test):
         for j in range(n_test):
             want = qkernel.kernel_eval(spec, theta, x_test[j], x_train[i], noise)
             assert abs(k_cross[j, i] - want) < 1e-10
-
-
-@PROPERTY_SETTINGS
-@given(circuits())
-def test_property_pair_kernel_grad_matches_parameter_shift(case):
-    spec, noise, rng = case
-    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    x1, x2 = random_batch(rng, 2)
-    k, grad = engine.pair_kernel_grad(spec, theta, x1, x2, noise)
-    assert abs(k - qkernel.kernel_eval(spec, theta, x1, x2, noise)) < 1e-10
-    shift = qkernel.parameter_shift_gradient(spec, theta, x1, x2, noise)
-    assert np.max(np.abs(grad - shift)) < 1e-9
 
 
 @PROPERTY_SETTINGS

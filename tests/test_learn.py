@@ -26,20 +26,11 @@ def small_dataset(rng, n=4):
     )
 
 
-def test_ideal_gram_is_label_outer_product():
-    y = [1, -1, -1, 1]
-    k = learn.ideal_gram(y)
-    assert k.shape == (4, 4)
-    assert np.array_equal(k, np.outer(y, y))
-    with pytest.raises(learn.LearnError):
-        learn.ideal_gram([1, 0, -1])
-
-
 def test_alignment_of_ideal_kernel_is_one():
     rng = np.random.default_rng(3)
     for n in (2, 4, 8):
         y = balanced_labels(rng, n)
-        assert abs(learn.alignment(learn.ideal_gram(y), y) - 1.0) < 1e-12
+        assert abs(learn.alignment(np.outer(y, y), y) - 1.0) < 1e-12
 
 
 def test_alignment_hand_computed_value():
@@ -222,7 +213,7 @@ def test_predict_signs_and_ties():
 def test_ridge_on_ideal_kernel_recovers_labels():
     rng = np.random.default_rng(43)
     y = balanced_labels(rng, 8)
-    k = learn.ideal_gram(y).astype(float)
+    k = np.outer(y, y).astype(float)
     model = learn.fit_ridge(k, y, lam=0.5)
     assert np.array_equal(learn.predict(model, k), y)
 

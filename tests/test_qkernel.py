@@ -255,8 +255,8 @@ def test_parameter_shift_matches_finite_difference():
     for noise in (NoiseModel(), NoiseModel(mode="per_gate", p=0.005)):
         spec = FeatureMapSpec(n_qubits=2, layers=2)
         theta, x1, x2 = random_inputs(rng, spec)
+        shift = qkernel.parameter_shift_gradient(spec, theta, x1, x2, noise)
         for t in range(spec.n_params):
-            shift = qkernel.kernel_grad(spec, theta, x1, x2, noise, t)
             up = theta.copy()
             up[t] += h
             dn = theta.copy()
@@ -265,7 +265,7 @@ def test_parameter_shift_matches_finite_difference():
                 qkernel.kernel_eval(spec, up, x1, x2, noise)
                 - qkernel.kernel_eval(spec, dn, x1, x2, noise)
             ) / (2 * h)
-            assert abs(shift - fd) < 1e-6
+            assert abs(shift[t] - fd) < 1e-6
 
 
 def test_parameter_shift_gradient_vector_shape():
@@ -287,14 +287,12 @@ def test_gradient_at_identical_points_is_zero():
     assert np.max(np.abs(g)) < 1e-10
 
 
-def test_kernel_grad_rejects_shots_and_bad_index():
+def test_parameter_shift_gradient_rejects_shots():
     spec = FeatureMapSpec(n_qubits=2, layers=1)
     theta = np.zeros(spec.n_params)
     x = np.zeros(2)
     with pytest.raises(ValueError):
-        qkernel.kernel_grad(spec, theta, x, x, NoiseModel(shots=10), 0)
-    with pytest.raises(ValueError):
-        qkernel.kernel_grad(spec, theta, x, x, NoiseModel(), spec.n_params)
+        qkernel.parameter_shift_gradient(spec, theta, x, x, NoiseModel(shots=10))
 
 
 def test_parameter_shift_gradient_matches_whole_shifted_circuits():

@@ -210,7 +210,6 @@ def test_full_depolarizing_reaches_maximally_mixed():
     out = qsim.apply_depolarizing_local(out, 1, 1.0)
     out = qsim.apply_depolarizing_local(out, 2, 1.0)
     assert np.max(np.abs(out - np.eye(8) / 8.0)) < 1e-12
-    assert np.max(np.abs(qsim.apply_depolarizing_global(rho, 1.0) - np.eye(8) / 8.0)) < 1e-12
 
 
 def test_local_depolarizing_affects_only_target_wire():

@@ -29,3 +29,10 @@ def test_readme_config_block_parses():
     (text,) = blocks("ini")
     cfg = config.parse_config(text)
     assert cfg.nodes_roles[2] == "signflip_attacker"
+
+
+def test_readme_configuration_reference_lists_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+    keys = set(re.findall(r"`([a-z_]+\.[a-z_]+)`", section))
+    assert keys == set(config._KEY_OF.values())

@@ -80,6 +80,19 @@ def test_prepare_problem_rejects_bad_modes_and_roles():
     centralized = runner.prepare_problem(tiny_config(), "centralized")
     with pytest.raises(runner.RunError, match="prepared for mode"):
         runner.run_problem(centralized, "decentralized")
+    # a network the data or the ring cannot take fails naming its keys
+    for overrides, keys in [
+        ({"network_n_nodes": 2}, ("network.topology", "network.n_nodes")),
+        ({"network_n_nodes": 3}, ("partition.strategy", "network.n_nodes")),
+        ({"nodes_roles": ("gaussian_attacker",)}, ("nodes.roles",)),
+    ]:
+        with pytest.raises(runner.RunError) as err:
+            runner.prepare_problem(tiny_config(**overrides), "decentralized")
+        for key in keys:
+            assert key in str(err.value)
+    # runs without a ring still take two nodes
+    for mode in ("local", "centralized"):
+        runner.prepare_problem(tiny_config(network_n_nodes=2), mode)
 
 
 def test_modal_noise_prefers_the_common_model():
