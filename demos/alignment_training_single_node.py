@@ -7,7 +7,7 @@ training criterion and the held-out accuracy move together.
 
 import numpy as np
 
-from qknet import data, learn, qkernel
+from qknet import data, engine, learn, qkernel
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
     print(f"\n{'step':>4} {'alignment':>10} {'test acc':>9}")
     for step in range(61):
         if step % 15 == 0:
-            k = learn.gram(spec, theta, train, noise)
+            k = engine.gram_matrix(spec, theta, train.x, noise)
             acc = learn.score(spec, theta, train, test, noise)
             print(f"{step:4d} {learn.alignment(k, train.y):10.4f} {acc:9.3f}")
         subsample = train.subset(rng.choice(len(train.y), size=8,
@@ -35,7 +35,7 @@ def main():
         _, grad = learn.loss_grad(subsample, theta, spec, noise)
         theta = theta - eta * grad
 
-    k = learn.gram(spec, theta, train, noise)
+    k = engine.gram_matrix(spec, theta, train.x, noise)
     model = learn.fit_ridge(k, train.y, lam=0.1)
     residual = float(np.max(np.abs((k + 0.1 * np.eye(len(train.y)))
                                    @ model.alpha - train.y)))

@@ -7,7 +7,7 @@ toward the flat 1/D background.
 
 import numpy as np
 
-from qknet import qkernel
+from qknet import learn, qkernel
 
 
 def main():
@@ -45,9 +45,7 @@ def main():
     k_true = qkernel.kernel_eval(spec, theta, xs[0], xs[1], noisy)
     print("\nshot noise around the analytic value:")
     for shots in (64, 1024, 16384):
-        sampled = qkernel.NoiseModel(mode="per_gate", p=0.005, shots=shots)
-        k_hat = qkernel.kernel_eval(spec, theta, xs[0], xs[1], sampled,
-                                    rng=np.random.default_rng(0))
+        k_hat = learn.shot_sample(k_true, shots, np.random.default_rng(0))
         print(f"  shots={shots:6d}  estimate={k_hat:.6f}  "
               f"error={abs(k_hat - k_true):.4f}")
 

@@ -9,8 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import data as datamod
-from .config import ExperimentConfig, MODES, load_config
-from .runner import prepare_problem, run_problem, write_outputs
+from .config import ConfigError, ExperimentConfig, MODES, load_config
+from .runner import RunError, prepare_problem, run_problem, write_outputs
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -88,12 +88,16 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a bad config, network shape or data input prints
+    ``qknet: error: <message>`` to stderr and returns 2."""
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "gen-data":
-        return _cmd_gen_data(args)
-    return _cmd_report(args)
+    commands = {"run": _cmd_run, "gen-data": _cmd_gen_data,
+                "report": _cmd_report}
+    try:
+        return commands[args.command](args)
+    except (ConfigError, RunError, datamod.DataError) as exc:
+        print(f"qknet: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ fields accept either a single value or one comma-separated value per node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -57,6 +58,11 @@ class ExperimentConfig:
     output_gram_final: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{_KEY_OF[f.name]} must be finite, got {v}")
         if not 1 <= self.circuit_n_qubits <= MAX_QUBITS:
             raise ConfigError(f"circuit.n_qubits must lie in [1, {MAX_QUBITS}]")
         if self.circuit_layers < 1:

@@ -8,6 +8,7 @@ resampling so the boundary carries no atoms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,8 @@ def load_csv(path) -> LabeledDataset:
                 x1, x2 = float(parts[0]), float(parts[1])
             except ValueError:
                 raise DataError(f"line {lineno}: malformed feature value") from None
+            if not (math.isfinite(x1) and math.isfinite(x2)):
+                raise DataError(f"line {lineno}: feature values must be finite")
             if parts[2].strip() not in ("1", "-1", "+1"):
                 raise DataError(f"line {lineno}: label must be 1 or -1")
             xs.append((x1, x2))

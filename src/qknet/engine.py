@@ -360,8 +360,6 @@ def multi_alignment_grads(
     gradient takes the dA/dK weights as the cost vectors
     (2 / D) sum_j W_bj c_j, since each state enters the Gram bilinearly.
     """
-    if noise.shots is not None:
-        raise ValueError("gradients require expectation values")
     thetas = np.asarray(thetas, dtype=float)
     counts = [np.atleast_2d(np.asarray(x, float)).shape[0] for x in xs]
     x_all = np.vstack([np.atleast_2d(np.asarray(x, float)) for x in xs])

@@ -2,7 +2,8 @@
 
 Training maximizes the alignment between the measured Gram matrix and the
 label outer product y yT; classification solves the regularized dual system
-(K + lambda I) alpha = y and takes the sign of kernel-weighted sums.
+(K + lambda I) alpha = y and takes the sign of kernel-weighted sums. Scoring
+may estimate each kernel value from finite shots; training never does.
 """
 
 from __future__ import annotations
@@ -19,22 +20,14 @@ class LearnError(ValueError):
     pass
 
 
-def gram(spec: qkernel.FeatureMapSpec, theta, dataset: LabeledDataset,
-         noise: qkernel.NoiseModel, rng=None) -> np.ndarray:
-    """Gram matrix of the dataset under the given noise model.
-
-    One engine simulation gives every entry, the diagonal included, which
-    falls below 1 under noise. With shots set, each unordered pair's exact
-    value is replaced by one binomial frequency.
-    """
-    if len(dataset) == 0:
-        raise LearnError("empty dataset")
-    k = engine.gram_matrix(spec, theta, dataset.x, noise)
-    if noise.shots is not None:
-        if rng is None:
-            raise LearnError("shot sampling needs an rng")
-        return _shot_sampled_symmetric(k, noise.shots, rng)
-    return k
+def shot_sample(k_value, shots: int, rng: np.random.Generator):
+    """Mean of ``shots`` Bernoulli(k_value) draws; elementwise on arrays."""
+    if shots < 1:
+        raise ValueError("shots must be a positive count")
+    k = np.asarray(k_value, dtype=float)
+    if np.any(k < 0.0) or np.any(k > 1.0):
+        raise ValueError("kernel values must be in [0, 1]")
+    return rng.binomial(shots, k) / float(shots)
 
 
 def _shot_sampled_symmetric(k: np.ndarray, shots: int, rng) -> np.ndarray:
@@ -44,7 +37,7 @@ def _shot_sampled_symmetric(k: np.ndarray, shots: int, rng) -> np.ndarray:
     """
     iu = np.triu_indices(len(k))
     out = np.zeros_like(k)
-    out[iu] = qkernel.shot_sample(k[iu], shots, rng)
+    out[iu] = shot_sample(k[iu], shots, rng)
     return out + out.T - np.diag(np.diag(out))
 
 
@@ -61,15 +54,14 @@ def alignment(k: np.ndarray, labels) -> float:
 
 
 def loss(dataset: LabeledDataset, theta, spec: qkernel.FeatureMapSpec,
-         noise: qkernel.NoiseModel, rng=None) -> float:
-    return -alignment(gram(spec, theta, dataset, noise, rng=rng), dataset.y)
+         noise: qkernel.NoiseModel) -> float:
+    k = engine.gram_matrix(spec, theta, dataset.x, noise)
+    return -alignment(k, dataset.y)
 
 
 def loss_grad(dataset: LabeledDataset, theta, spec: qkernel.FeatureMapSpec,
               noise: qkernel.NoiseModel) -> tuple[float, np.ndarray]:
-    """Loss and its gradient; exact expectations only (no shot noise)."""
-    if noise.shots is not None:
-        raise LearnError("gradients require exact expectations, not shots")
+    """Loss and its gradient, from exact expectations."""
     values, grads = engine.multi_alignment_grads(
         spec, [theta], [dataset.x], [dataset.y], noise)
     return -values[0], -grads[0]
@@ -114,7 +106,7 @@ def fit_ridge(k: np.ndarray, labels, lam: float = 0.1) -> RidgeModel:
     system = k + lam * np.eye(n)
     alpha = np.linalg.solve(system, y)
     residual = float(np.linalg.norm(system @ alpha - y))
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise LearnError(f"ridge solve residual {residual:.2e} above 1e-8")
     return RidgeModel(alpha=alpha, lam=lam)
 
@@ -128,8 +120,12 @@ def predict(model: RidgeModel, k_vec: np.ndarray) -> np.ndarray:
 
 def score(spec: qkernel.FeatureMapSpec, theta, train: LabeledDataset,
           test: LabeledDataset, noise: qkernel.NoiseModel, lam: float = 0.1,
-          rng=None, splits=None):
+          shots: int = 0, rng=None, splits=None):
     """Accuracy of the ridge model trained on `train`, evaluated on `test`.
+
+    With `shots` > 0, every kernel value is replaced by the mean of `shots`
+    Bernoulli draws from `rng`: the train Gram one draw per unordered pair,
+    then the cross Gram; 0 keeps the exact expectations.
 
     `splits` is a sequence of (train rows, test rows) index pairs into `train`
     and `test`. With it, one simulation of both sets serves every split and
@@ -138,7 +134,7 @@ def score(spec: qkernel.FeatureMapSpec, theta, train: LabeledDataset,
     """
     if len(train) == 0 or len(test) == 0:
         raise LearnError("empty train or test set")
-    if noise.shots is not None and rng is None:
+    if shots and rng is None:
         raise LearnError("shot sampling needs an rng")
     k_train, k_cross = engine.train_test_grams(spec, theta, train.x, test.x, noise)
     whole = splits is None
@@ -150,9 +146,9 @@ def score(spec: qkernel.FeatureMapSpec, theta, train: LabeledDataset,
         if len(tr) == 0 or len(te) == 0:
             raise LearnError("empty train or test set")
         k_tr, k_te = k_train[np.ix_(tr, tr)], k_cross[np.ix_(te, tr)]
-        if noise.shots is not None:
-            k_tr = _shot_sampled_symmetric(k_tr, noise.shots, rng)
-            k_te = qkernel.shot_sample(k_te, noise.shots, rng)
+        if shots:
+            k_tr = _shot_sampled_symmetric(k_tr, shots, rng)
+            k_te = shot_sample(k_te, shots, rng)
         model = fit_ridge(k_tr, train.y[tr], lam)
         pred = predict(model, k_te)
         accuracies.append(float(np.mean(pred == test.y[te])))

@@ -51,19 +51,19 @@ class FeatureMapSpec:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise configuration for kernel evaluation.
+    """The noise channel of kernel evaluation.
 
     ``mode`` is one of exact / per_gate / global. ``p`` is the per-gate rate
     p_tilde in per_gate mode and the global mixing rate in global mode.
-    ``shots`` switches the returned kernel to a sampled estimate. Per-gate
-    channels follow each gate of the compute half and mirror it in the
-    uncompute half, preceding each adjoint gate, so the uncompute half is the
-    exact channel adjoint of the compute half and the kernel is symmetric.
+    Per-gate channels follow each gate of the compute half and mirror it in
+    the uncompute half, preceding each adjoint gate, so the uncompute half is
+    the exact channel adjoint of the compute half and the kernel is
+    symmetric. Finite shots are not part of the channel; ``learn.score``
+    samples them.
     """
 
     mode: str = "exact"
     p: float = 0.0
-    shots: int | None = None
 
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
@@ -72,8 +72,6 @@ class NoiseModel:
             raise ValueError(f"noise rate must be in [0, 1], got {self.p}")
         if self.mode == "exact" and self.p != 0.0:
             raise ValueError("exact mode carries no noise rate")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be a positive count")
 
 
 def analytic_noisy_kernel(k_exact, p: float, dim: int):
@@ -86,17 +84,6 @@ def analytic_noisy_kernel(k_exact, p: float, dim: int):
     if dim < 2:
         raise ValueError("dim must be at least 2")
     return (1.0 - p) * k_exact + p / dim
-
-
-def shot_sample(k_value, shots: int, rng: np.random.Generator):
-    """Mean of ``shots`` Bernoulli(k_value) draws; elementwise on arrays."""
-    if shots < 1:
-        raise ValueError("shots must be a positive count")
-    k = np.asarray(k_value, dtype=float)
-    if np.any(k < 0.0) or np.any(k > 1.0):
-        raise ValueError("kernel values must be in [0, 1]")
-    sampled = rng.binomial(shots, k) / float(shots)
-    return float(sampled) if np.isscalar(k_value) else sampled
 
 
 def build_layer_gates(spec: FeatureMapSpec, theta_layer, x) -> list[Gate]:
@@ -194,23 +181,10 @@ def _interference_value(
 
 
 def kernel_eval(
-    spec: FeatureMapSpec,
-    theta,
-    x1,
-    x2,
-    noise: NoiseModel = NoiseModel(),
-    rng: np.random.Generator | None = None,
+    spec: FeatureMapSpec, theta, x1, x2, noise: NoiseModel = NoiseModel()
 ) -> float:
-    """Kernel value K(x1, x2) under the configured noise model.
-
-    With ``noise.shots`` set, returns a sampled estimate and requires ``rng``.
-    """
-    value = _interference_value(spec, theta, theta, x1, x2, noise)
-    if noise.shots is not None:
-        if rng is None:
-            raise ValueError("sampled kernel evaluation needs an rng")
-        value = shot_sample(value, noise.shots, rng)
-    return value
+    """Kernel value K(x1, x2) under the configured noise model."""
+    return _interference_value(spec, theta, theta, x1, x2, noise)
 
 
 def parameter_shift_gradient(
@@ -228,11 +202,8 @@ def parameter_shift_gradient(
     Tr[O_i step(rho_i)], where step is the shifted gate with its channels.
     Local depolarizing is its own adjoint, so an adjoint step applies the
     channel, then the adjoint gate, for a compute step, and the reverse for
-    an uncompute step. Shift gradients are defined on expectations, not
-    samples.
+    an uncompute step.
     """
-    if noise.shots is not None:
-        raise ValueError("parameter-shift gradients require expectation values")
     theta = np.asarray(theta, dtype=float)
     steps = _interference_steps(spec, theta, theta, x1, x2)
     p = _gate_noise_rate(noise)

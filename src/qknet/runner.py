@@ -369,13 +369,13 @@ def _exchange(problem: Problem, halves: np.ndarray, rnd: int,
     if robust:
         pulls = np.linalg.norm(new[honest] - halves[honest], axis=1)
         worst = int(np.argmax(pulls))
-        if pulls[worst] > cfg.aggregation_tau + 1e-9:
+        if not pulls[worst] <= cfg.aggregation_tau + 1e-9:
             raise RunError(
                 f"clipped aggregation moved node {honest[worst]} by"
                 f" {pulls[worst]:.3e}, beyond tau={cfg.aggregation_tau}")
     if not robust and len(honest) == len(problem.nodes):
         drift = abs((new - halves).sum(axis=0)).max() / len(new)
-        if drift > 1e-12:
+        if not drift <= 1e-12:
             raise RunError(f"aggregation moved the network mean by {drift:.3e}")
     return new
 
@@ -385,13 +385,11 @@ def _score(problem: Problem, theta: np.ndarray, noise: NoiseModel, stream: int,
     """``learn.score`` on the global sets under ``noise``; with ``eval.shots``
     set, shot-sampled from the (TAG_SHOTS, stream, rnd) stream."""
     cfg = problem.config
-    rng = None
-    if cfg.eval_shots:
-        noise = replace(noise, shots=cfg.eval_shots)
-        rng = derived_rng(cfg.run_seed, TAG_SHOTS, stream, rnd)
+    rng = (derived_rng(cfg.run_seed, TAG_SHOTS, stream, rnd)
+           if cfg.eval_shots else None)
     return learn.score(problem.spec, theta, problem.global_train,
-                       problem.global_test, noise, cfg.ridge_lam, rng=rng,
-                       splits=splits)
+                       problem.global_test, noise, cfg.ridge_lam,
+                       shots=cfg.eval_shots, rng=rng, splits=splits)
 
 
 def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,

@@ -98,3 +98,33 @@ def test_unknown_command_is_a_parse_error():
         cli.main(["explain"])
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bad.key = 1\n", "line 1: unknown key 'bad.key'"),
+        (SMALL_CONFIG + "network.n_nodes = 3\n", "network.n_nodes = 3"),
+    ],
+    ids=["bad_key", "bad_network_shape"],
+)
+def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, text,
+                                                    message):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    out_dir = tmp_path / "results"
+    code = cli.main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qknet: error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out_dir.exists()
+
+
+def test_gen_data_reports_bad_input_as_one_error_line(tmp_path, capsys):
+    code = cli.main(["gen-data", "--points-per-cell", "0",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "qknet: error: points_per_cell must be positive\n")
+    assert not (tmp_path / "checkerboard.csv").exists()

@@ -111,6 +111,16 @@ def test_validation_catches_bad_fields():
         ("data.sigma = 1e-9", None),
         ("nodes.noise_mode = exact", "nodes.noise_p"),
         ("nodes.noise_mode = exact\nnodes.noise_p = 0", None),
+        ("nodes.eta = nan", "nodes.eta"),
+        ("nodes.eta = inf", "nodes.eta"),
+        ("nodes.eta = 0.2, 0.2, nan, 0.2", "nodes.eta"),
+        ("init.scale = nan", "init.scale"),
+        ("init.scale = inf", "init.scale"),
+        ("run.g_thresh = nan", "run.g_thresh"),
+        ("run.g_thresh = inf", "run.g_thresh"),
+        ("aggregation.tau = inf", "aggregation.tau"),
+        ("data.sigma = inf", "data.sigma"),
+        ("ridge.lam = inf", "ridge.lam"),
     ],
 )
 def test_out_of_range_values_fail_at_parse_time_naming_the_key(line, key):

@@ -121,6 +121,10 @@ def test_csv_load_errors_carry_line_numbers(tmp_path):
     path.write_text("0.1,0.2,7\n")
     with pytest.raises(DataError, match="label"):
         data.load_csv(path)
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"0.1,0.2,1\n0.3,{value},-1\n")
+        with pytest.raises(DataError, match="line 2: feature values must be finite"):
+            data.load_csv(path)
     path.write_text("\n\n")
     with pytest.raises(DataError, match="empty"):
         data.load_csv(path)

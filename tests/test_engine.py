@@ -284,15 +284,6 @@ def test_alignment_grad_matches_finite_difference():
             assert abs(grad[t] - (au - ad) / (2 * h)) < 1e-6
 
 
-def test_alignment_grad_rejects_shots():
-    spec = FeatureMapSpec(n_qubits=2, layers=1)
-    theta = np.zeros(spec.n_params)
-    x = np.zeros((4, 2))
-    y = balanced_labels(4)
-    with pytest.raises(ValueError):
-        one_node_alignment(spec, theta, x, y, NoiseModel(shots=8))
-
-
 def test_multi_alignment_matches_per_node_calls():
     rng = np.random.default_rng(79)
     spec = FeatureMapSpec(n_qubits=2, layers=2)

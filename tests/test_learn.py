@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qknet import engine, learn, qkernel
+from qknet import engine, learn
 from qknet.data import LabeledDataset
 from qknet.qkernel import FeatureMapSpec, NoiseModel
 
@@ -80,14 +80,31 @@ def test_alignment_grad_weights_match_finite_difference():
             assert abs(w[i, j] - fd) < 1e-6
 
 
-def test_gram_matches_engine_expectations():
-    rng = np.random.default_rng(13)
-    spec = FeatureMapSpec(n_qubits=2, layers=2)
-    ds = small_dataset(rng, 4)
-    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    noise = NoiseModel(mode="per_gate", p=0.01)
-    k = learn.gram(spec, theta, ds, noise)
-    assert np.max(np.abs(k - engine.gram_matrix(spec, theta, ds.x, noise))) == 0.0
+def test_shot_sample_scalar_and_array():
+    rng = np.random.default_rng(5)
+    v = learn.shot_sample(0.5, 100, rng)
+    assert isinstance(v, float)
+    assert 0.0 <= v <= 1.0
+    assert v * 100 == round(v * 100)
+    arr = learn.shot_sample(np.array([0.0, 1.0, 0.3]), 50, rng)
+    assert arr.shape == (3,)
+    assert arr[0] == 0.0 and arr[1] == 1.0
+
+
+def test_shot_sample_converges_to_mean():
+    rng = np.random.default_rng(7)
+    draws = [learn.shot_sample(0.3, 200, rng) for _ in range(300)]
+    assert abs(np.mean(draws) - 0.3) < 0.01
+
+
+def test_shot_sample_rejects_bad_inputs():
+    rng = np.random.default_rng(9)
+    with pytest.raises(ValueError):
+        learn.shot_sample(0.5, 0, rng)
+    with pytest.raises(ValueError):
+        learn.shot_sample(1.2, 10, rng)
+    with pytest.raises(ValueError):
+        learn.shot_sample(np.array([0.5, -0.1]), 10, rng)
 
 
 def test_gram_with_shots_is_symmetric_on_grid():
@@ -95,19 +112,10 @@ def test_gram_with_shots_is_symmetric_on_grid():
     spec = FeatureMapSpec(n_qubits=2, layers=1)
     ds = small_dataset(rng, 4)
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    noise = NoiseModel(shots=32)
-    k = learn.gram(spec, theta, ds, noise, rng=np.random.default_rng(0))
+    k_exact = engine.gram_matrix(spec, theta, ds.x, NoiseModel())
+    k = learn._shot_sampled_symmetric(k_exact, 32, np.random.default_rng(0))
     assert np.max(np.abs(k - k.T)) == 0.0
     assert np.all(np.abs(k * 32 - np.round(k * 32)) < 1e-9)
-    with pytest.raises(learn.LearnError):
-        learn.gram(spec, theta, ds, noise)
-
-
-def test_gram_rejects_empty_dataset():
-    spec = FeatureMapSpec(n_qubits=2, layers=1)
-    empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
-    with pytest.raises(learn.LearnError):
-        learn.gram(spec, np.zeros(spec.n_params), empty, NoiseModel())
 
 
 def test_loss_is_negative_alignment():
@@ -115,7 +123,7 @@ def test_loss_is_negative_alignment():
     spec = FeatureMapSpec(n_qubits=2, layers=2)
     ds = small_dataset(rng, 4)
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    k = learn.gram(spec, theta, ds, NoiseModel())
+    k = engine.gram_matrix(spec, theta, ds.x, NoiseModel())
     assert abs(learn.loss(ds, theta, spec, NoiseModel()) + learn.alignment(k, ds.y)) < 1e-14
 
 
@@ -135,14 +143,6 @@ def test_loss_grad_matches_finite_difference():
             dn[t] -= h
             fd = (learn.loss(ds, up, spec, noise) - learn.loss(ds, dn, spec, noise)) / (2 * h)
             assert abs(grad[t] - fd) < 1e-6
-
-
-def test_loss_grad_rejects_shots():
-    rng = np.random.default_rng(29)
-    spec = FeatureMapSpec(n_qubits=2, layers=1)
-    ds = small_dataset(rng, 4)
-    with pytest.raises(learn.LearnError):
-        learn.loss_grad(ds, np.zeros(spec.n_params), spec, NoiseModel(shots=16))
 
 
 def test_analytic_noisy_grad_matches_matrix_finite_difference():
@@ -202,6 +202,10 @@ def test_fit_ridge_validates_inputs():
         learn.fit_ridge(np.eye(3), [1, -1, 1], lam=0.0)
     with pytest.raises(learn.LearnError):
         learn.fit_ridge(np.eye(3), [1, -1])
+    nan_gram = np.eye(4)
+    nan_gram[1, 2] = nan_gram[2, 1] = np.nan
+    with pytest.raises(learn.LearnError, match="residual nan"):
+        learn.fit_ridge(nan_gram, [1, -1, 1, -1])
 
 
 def test_predict_signs_and_ties():
@@ -234,20 +238,20 @@ def test_score_with_shots_needs_rng():
     spec = FeatureMapSpec(n_qubits=2, layers=1)
     ds = LabeledDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1, -1]))
     with pytest.raises(learn.LearnError):
-        learn.score(spec, np.zeros(spec.n_params), ds, ds, NoiseModel(shots=8))
+        learn.score(spec, np.zeros(spec.n_params), ds, ds, NoiseModel(), shots=8)
     acc = learn.score(
-        spec, np.zeros(spec.n_params), ds, ds, NoiseModel(shots=64),
+        spec, np.zeros(spec.n_params), ds, ds, NoiseModel(), shots=64,
         rng=np.random.default_rng(1),
     )
     assert 0.0 <= acc <= 1.0
 
 
-def reference_score(spec, theta, train, test, noise, lam, rng):
+def reference_score(spec, theta, train, test, noise, lam, shots, rng):
     """Ridge accuracy step by step; shots sample the train Gram first."""
     k_train, k_cross = engine.train_test_grams(spec, theta, train.x, test.x, noise)
-    if noise.shots is not None:
-        k_train = learn._shot_sampled_symmetric(k_train, noise.shots, rng)
-        k_cross = qkernel.shot_sample(k_cross, noise.shots, rng)
+    if shots:
+        k_train = learn._shot_sampled_symmetric(k_train, shots, rng)
+        k_cross = learn.shot_sample(k_cross, shots, rng)
     model = learn.fit_ridge(k_train, train.y, lam)
     return float(np.mean(learn.predict(model, k_cross) == test.y))
 
@@ -259,15 +263,16 @@ def test_score_splits_match_separate_calls_on_subsets():
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     splits = [(range(0, 6), range(0, 5)), (range(0, 6), range(10)),
               ([1, 3, 5, 7, 9, 11], [0, 2, 4, 6]), (range(12), range(10))]
-    for shots in (None, 8):
-        noise = NoiseModel(mode="per_gate", p=0.01, shots=shots)
+    noise = NoiseModel(mode="per_gate", p=0.01)
+    for shots in (0, 8):
         rngs = [np.random.default_rng(7) if shots else None for _ in range(3)]
-        got = learn.score(spec, theta, train, test, noise, 0.1, rng=rngs[0],
-                          splits=splits)
+        got = learn.score(spec, theta, train, test, noise, 0.1, shots=shots,
+                          rng=rngs[0], splits=splits)
         apart = [learn.score(spec, theta, train.subset(tr), test.subset(te),
-                             noise, 0.1, rng=rngs[1]) for tr, te in splits]
+                             noise, 0.1, shots=shots, rng=rngs[1])
+                 for tr, te in splits]
         steps = [reference_score(spec, theta, train.subset(tr), test.subset(te),
-                                 noise, 0.1, rngs[2]) for tr, te in splits]
+                                 noise, 0.1, shots, rngs[2]) for tr, te in splits]
         assert got == apart == steps
         if shots:  # the same draws, in the same order
             assert rngs[0].random() == rngs[1].random() == rngs[2].random()

@@ -70,8 +70,6 @@ def test_noise_model_validation():
         NoiseModel(mode="per_gate", p=1.5)
     with pytest.raises(ValueError):
         NoiseModel(mode="exact", p=0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(shots=0)
 
 
 def test_analytic_noisy_kernel_mixes_toward_uniform():
@@ -82,33 +80,6 @@ def test_analytic_noisy_kernel_mixes_toward_uniform():
         qkernel.analytic_noisy_kernel(0.5, 1.2, 4)
     with pytest.raises(ValueError):
         qkernel.analytic_noisy_kernel(0.5, 0.2, 1)
-
-
-def test_shot_sample_scalar_and_array():
-    rng = np.random.default_rng(5)
-    v = qkernel.shot_sample(0.5, 100, rng)
-    assert isinstance(v, float)
-    assert 0.0 <= v <= 1.0
-    assert v * 100 == round(v * 100)
-    arr = qkernel.shot_sample(np.array([0.0, 1.0, 0.3]), 50, rng)
-    assert arr.shape == (3,)
-    assert arr[0] == 0.0 and arr[1] == 1.0
-
-
-def test_shot_sample_converges_to_mean():
-    rng = np.random.default_rng(7)
-    draws = [qkernel.shot_sample(0.3, 200, rng) for _ in range(300)]
-    assert abs(np.mean(draws) - 0.3) < 0.01
-
-
-def test_shot_sample_rejects_bad_inputs():
-    rng = np.random.default_rng(9)
-    with pytest.raises(ValueError):
-        qkernel.shot_sample(0.5, 0, rng)
-    with pytest.raises(ValueError):
-        qkernel.shot_sample(1.2, 10, rng)
-    with pytest.raises(ValueError):
-        qkernel.shot_sample(np.array([0.5, -0.1]), 10, rng)
 
 
 def test_layer_gate_sequence_structure():
@@ -238,17 +209,6 @@ def test_per_gate_noise_shrinks_self_kernel():
     assert clean > noisy > 1.0 / spec.dim
 
 
-def test_sampled_kernel_needs_rng_and_lands_on_grid():
-    spec = FeatureMapSpec(n_qubits=2, layers=1)
-    theta = np.zeros(spec.n_params)
-    x = np.array([0.3, 0.6])
-    noise = NoiseModel(shots=64)
-    with pytest.raises(ValueError):
-        qkernel.kernel_eval(spec, theta, x, x, noise)
-    v = qkernel.kernel_eval(spec, theta, x, x, noise, rng=np.random.default_rng(0))
-    assert v * 64 == round(v * 64)
-
-
 def test_parameter_shift_matches_finite_difference():
     rng = np.random.default_rng(35)
     h = 1e-5
@@ -285,14 +245,6 @@ def test_gradient_at_identical_points_is_zero():
     x = np.array([0.1, -0.7])
     g = qkernel.parameter_shift_gradient(spec, theta, x, x, NoiseModel())
     assert np.max(np.abs(g)) < 1e-10
-
-
-def test_parameter_shift_gradient_rejects_shots():
-    spec = FeatureMapSpec(n_qubits=2, layers=1)
-    theta = np.zeros(spec.n_params)
-    x = np.zeros(2)
-    with pytest.raises(ValueError):
-        qkernel.parameter_shift_gradient(spec, theta, x, x, NoiseModel(shots=10))
 
 
 def test_parameter_shift_gradient_matches_whole_shifted_circuits():

@@ -258,6 +258,10 @@ def test_exchange_safety_checks_fire(monkeypatch):
     with pytest.raises(runner.RunError, match="moved the network mean"):
         runner._exchange(problem, halves, 0, neighbors)
     monkeypatch.undo()
+    broken = halves.copy()
+    broken[1, 0] = np.nan
+    with pytest.raises(runner.RunError, match="moved the network mean by nan"):
+        runner._exchange(problem, broken, 0, neighbors)
 
     cfg = tiny_config(
         nodes_roles=("honest", "honest", "signflip_attacker", "honest"),
@@ -268,6 +272,10 @@ def test_exchange_safety_checks_fire(monkeypatch):
     halves, _ = runner._half_steps(problem, thetas, batches)
     neighbors = runner._neighbor_lists(problem)
     runner._exchange(problem, halves, 0, neighbors)
+    broken = halves.copy()
+    broken[1, 0] = np.nan
+    with pytest.raises(runner.RunError, match="by nan, beyond tau"):
+        runner._exchange(problem, broken, 0, neighbors)
     monkeypatch.setattr(dnet, "clip", lambda v, tau: 2.0 * np.asarray(v, float))
     with pytest.raises(runner.RunError, match="beyond tau"):
         runner._exchange(problem, halves, 0, neighbors)
@@ -312,13 +320,12 @@ def test_evaluate_node_matches_separate_score_calls():
         for node in problem.nodes:
             theta = thetas[node.node_id]
             report = runner.evaluate_node(problem, node, theta, 3)
-            noise = replace(node.noise, shots=shots or None)
             rng = (runner.derived_rng(0, runner.TAG_SHOTS, node.node_id, 3)
                    if shots else None)
             train = problem.global_train.subset(node.train_rows)
             test = problem.global_test.subset(node.test_rows)
-            want = [learn.score(problem.spec, theta, tr, te, noise,
-                                cfg.ridge_lam, rng=rng)
+            want = [learn.score(problem.spec, theta, tr, te, node.noise,
+                                cfg.ridge_lam, shots=shots, rng=rng)
                     for tr, te in ((train, test),
                                    (train, problem.global_test),
                                    (problem.global_train, problem.global_test))]
