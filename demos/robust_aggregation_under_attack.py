@@ -26,10 +26,9 @@ def trajectory(rule):
     thetas = runner._init_thetas(prob)
     norms = [float(np.linalg.norm(thetas[0]))]
     pulls = []
-    neighbors = runner._neighbor_lists(prob)
     for rnd in range(ROUNDS):
         halves, _ = runner._half_steps(prob, thetas, prob.schedule[rnd])
-        mixed = runner._exchange(prob, halves, rnd, neighbors)
+        mixed = runner._exchange(prob, halves, rnd)
         pulls.append(max(float(np.linalg.norm(mixed[i] - halves[i]))
                          for i in HONEST))
         thetas = mixed

@@ -5,8 +5,6 @@ mode, prints the per-round records the runner keeps, and shows the
 first lines of the JSONL stream that ``write_outputs`` would persist.
 """
 
-from dataclasses import replace
-
 from qknet import runner
 from qknet.config import ExperimentConfig
 

@@ -76,7 +76,10 @@ def _cmd_report(args) -> int:
     if not path.exists():
         print(f"no scores.json under {args.out}", file=sys.stderr)
         return 1
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise datamod.DataError(f"{path} is not JSON: {exc}") from None
     print(f"mode: {payload['mode']}   seed: {payload['seed']}   "
           f"iteration_to_threshold: {payload['iteration_to_threshold']}")
     print(f"{'node':>4}  {'score1':>10}  {'score2':>10}  {'score3':>10}")
@@ -88,14 +91,14 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a bad config, network shape or data input prints
-    ``qknet: error: <message>`` to stderr and returns 2."""
+    """Run one subcommand; a bad config, network shape, data input or file
+    prints ``qknet: error: <message>`` to stderr and returns 2."""
     args = build_parser().parse_args(argv)
     commands = {"run": _cmd_run, "gen-data": _cmd_gen_data,
                 "report": _cmd_report}
     try:
         return commands[args.command](args)
-    except (ConfigError, RunError, datamod.DataError) as exc:
+    except (ConfigError, RunError, datamod.DataError, OSError) as exc:
         print(f"qknet: error: {exc}", file=sys.stderr)
         return 2
 

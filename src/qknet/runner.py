@@ -1,8 +1,8 @@
-"""End-to-end training loops: decentralized gossip, centralized, and local.
+"""End-to-end training loop: decentralized gossip, centralized, and local.
 
 A run builds the dataset, partitions it across nodes, and iterates
 barrier-synchronized rounds: every honest node takes a subsampled alignment
-gradient step, messages cross the topology (attackers substitute crafted
+gradient step, messages cross the network (attackers substitute crafted
 vectors), and honest nodes aggregate with doubly stochastic weights. Scores
 and per-round metrics are collected into machine-readable result files.
 
@@ -110,9 +110,10 @@ class EvalPoint:
 class Problem:
     """Everything a training loop needs, with data already distributed.
 
-    ``mode`` is the one the problem was prepared for; ``topology`` and
-    ``weights`` are set in decentralized mode only. Each node's data are one
-    contiguous block of ``global_train`` and of ``global_test``.
+    ``mode`` is the one the problem was prepared for; it only chose the
+    mixing matrix ``weights``, whose off-diagonal support is the network.
+    Each node's data are one contiguous block of ``global_train`` and of
+    ``global_test``.
     ``schedule`` holds every round's subsample batches, drawn once for the
     ``nodes`` and the ``config.run_budget`` the problem was prepared with; a
     problem built by replacing either keeps the old draws.
@@ -124,10 +125,14 @@ class Problem:
     nodes: tuple[NodeSetup, ...]
     global_train: LabeledDataset
     global_test: LabeledDataset
-    topology: dnet.Topology | None
-    weights: np.ndarray | None
+    weights: np.ndarray
     eval_noise: NoiseModel
     schedule: tuple[tuple[_GroupBatch, ...], ...]
+
+    @property
+    def honest_ids(self) -> list[int]:
+        """Ids of the honest nodes, a list so that it indexes rows."""
+        return [n.node_id for n in self.nodes if n.role == dnet.HONEST]
 
 
 @dataclass(frozen=True)
@@ -154,12 +159,6 @@ def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
         seed=derived_seed(config.run_seed, TAG_DATA, 0, 0),
     )
     return gen_checkerboard(spec)
-
-
-def _build_topology(config: ExperimentConfig) -> dnet.Topology:
-    if config.network_topology == "ring":
-        return dnet.ring(config.network_n_nodes)
-    return dnet.complete(config.network_n_nodes)
 
 
 def _modal_noise(nodes) -> NoiseModel:
@@ -229,15 +228,15 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         n_train += len(tr)
         n_test += len(te)
 
-    topology = weights = None
+    weights = np.eye(n_nodes)  # local and centralized nodes never mix
     if mode == "decentralized":
+        build = dnet.ring if config.network_topology == "ring" else dnet.complete
         try:
-            topology = _build_topology(config)
+            weights = dnet.metropolis_weights(build(n_nodes))
         except dnet.NetError as exc:
             raise RunError(
                 f"network.topology = {config.network_topology} with"
                 f" network.n_nodes = {n_nodes}: {exc}") from exc
-        weights = dnet.metropolis_weights(topology)
         dnet.check_weight_matrix(weights)
 
     problem = Problem(
@@ -246,7 +245,7 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         nodes=tuple(nodes),
         global_train=dataset.subset(np.concatenate(train_idx)),
         global_test=dataset.subset(np.concatenate(test_idx)),
-        topology=topology, weights=weights, eval_noise=_modal_noise(nodes),
+        weights=weights, eval_noise=_modal_noise(nodes),
         schedule=(),
     )
     return replace(problem,
@@ -328,37 +327,35 @@ def _half_steps(problem: Problem, thetas: np.ndarray,
     return halves, metrics
 
 
-def _neighbor_lists(problem: Problem) -> list[list[int]]:
-    """Every node's neighbours, read once per run rather than every round."""
-    return [problem.topology.neighbors(i) for i in range(len(problem.nodes))]
-
-
-def _exchange(problem: Problem, halves: np.ndarray, rnd: int,
-              neighbors: list[list[int]]):
+def _exchange(problem: Problem, halves: np.ndarray, rnd: int):
     """One message exchange plus aggregation; returns the next parameters.
 
     The messages are one (N, T) array: an honest node's row is its half-step,
     an attacker's the vector it crafts from the half-steps it receives (a
-    fellow attacker's half-step is its last stored state). ``neighbors`` is
-    ``_neighbor_lists(problem)``. Two safety checks follow: under
+    fellow attacker's half-step is its last stored state); it receives from
+    the nonzero off-diagonal entries of its ``weights`` row, the support the
+    aggregators read. In every mode two safety checks follow: under
     ``robust_clip`` no honest node moves farther than tau from its
-    half-step; under plain mixing in a network without attackers the
-    network mean does not move.
+    half-step; under plain mixing without attackers the network mean does
+    not move.
     """
     cfg = problem.config
     w = problem.weights
     messages = halves.copy()
     for node in problem.nodes:
         i = node.node_id
+        if node.role == dnet.HONEST:
+            continue
+        received = halves[[j for j in np.flatnonzero(w[i]) if j != i]]
         if node.role == dnet.GAUSSIAN_ATTACKER:
             rng = derived_rng(cfg.run_seed, TAG_ATTACK, i, rnd)
-            messages[i] = dnet.attack_gaussian(halves[neighbors[i]], rng)
-        elif node.role == dnet.SIGNFLIP_ATTACKER:
-            messages[i] = dnet.attack_signflip(halves[neighbors[i]])
+            messages[i] = dnet.attack_gaussian(received, rng)
+        else:
+            messages[i] = dnet.attack_signflip(received)
 
     robust = cfg.aggregation_rule == "robust_clip"
     new = messages.copy()  # an attacker keeps the vector it crafted
-    honest = [n.node_id for n in problem.nodes if n.role == dnet.HONEST]
+    honest = problem.honest_ids
     for i in honest:
         if robust:
             new[i] = dnet.aggregate_robust(
@@ -408,11 +405,15 @@ def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,
     return ScoreReport(node=node.node_id, score1=s1, score2=s2, score3=s3)
 
 
+def _mean_model(problem: Problem, thetas: np.ndarray) -> np.ndarray:
+    """The honest nodes' mean parameters."""
+    return thetas[problem.honest_ids].mean(axis=0)
+
+
 def _evaluate(problem: Problem, thetas: np.ndarray, rnd: int) -> EvalPoint:
     """Score the honest nodes' mean model; node scores wait for the end."""
-    honest_ids = [n.node_id for n in problem.nodes if n.role == dnet.HONEST]
-    mean_theta = thetas[honest_ids].mean(axis=0)
-    acc = _score(problem, mean_theta, problem.eval_noise, len(problem.nodes), rnd)
+    acc = _score(problem, _mean_model(problem, thetas), problem.eval_noise,
+                 len(problem.nodes), rnd)
     return EvalPoint(round=rnd, mean_model_accuracy=acc)
 
 
@@ -429,14 +430,9 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
     thetas = _init_thetas(problem)
     rounds = []  # (per-node metrics, consensus distance) of each round
     evals: list[EvalPoint] = []
-    if mode == "decentralized":
-        neighbors = _neighbor_lists(problem)
     for rnd in range(cfg.run_budget):
         halves, metrics = _half_steps(problem, thetas, problem.schedule[rnd])
-        if mode == "decentralized":
-            thetas = _exchange(problem, halves, rnd, neighbors)
-        else:
-            thetas = halves
+        thetas = _exchange(problem, halves, rnd)
         consensus = (dnet.consensus_distance(thetas)
                      if len(problem.nodes) >= 2 else 0.0)
         rounds.append((metrics, consensus))
@@ -515,9 +511,8 @@ def write_outputs(result: RunResult, out_dir, problem: Problem):
     (out / "scores.json").write_text(
         json.dumps(scores_json(result), indent=2) + "\n", encoding="utf-8")
     if result.config.output_gram_final:
-        honest = [n.node_id for n in problem.nodes if n.role == dnet.HONEST]
-        mean_theta = result.thetas[honest].mean(axis=0)
-        gram = engine.gram_matrix(problem.spec, mean_theta,
+        gram = engine.gram_matrix(problem.spec,
+                                  _mean_model(problem, result.thetas),
                                   problem.global_train.x, problem.eval_noise)
         np.savetxt(out / "gram_final.csv", gram, delimiter=",")
     return out

@@ -328,11 +328,9 @@ def test_criterion_06_matches_centralized_on_shared_data():
     prob_cen = runner.prepare_problem(cfg, "centralized")
     node0 = prob_cen.nodes[0]
     nodes = tuple(replace(node0, node_id=i) for i in range(4))
-    topology = dnet.complete(4)
-    weights = dnet.metropolis_weights(topology)
+    weights = dnet.metropolis_weights(dnet.complete(4))
     uniform = bool(np.all(weights == 0.25))
-    prob_dec = replace(prob_cen, nodes=nodes, topology=topology,
-                       weights=weights)
+    prob_dec = replace(prob_cen, nodes=nodes, weights=weights)
 
     thetas_dec = runner._init_thetas(prob_dec)
     thetas_cen = runner._init_thetas(prob_cen)
@@ -343,8 +341,7 @@ def test_criterion_06_matches_centralized_on_shared_data():
     batches_cen = runner._subsample_schedule(prob_cen, 10)
     for rnd in range(10):
         halves_dec, _ = runner._half_steps(prob_dec, thetas_dec, batches_dec[rnd])
-        thetas_dec = runner._exchange(prob_dec, halves_dec, rnd,
-                                      runner._neighbor_lists(prob_dec))
+        thetas_dec = runner._exchange(prob_dec, halves_dec, rnd)
         halves_cen, _ = runner._half_steps(prob_cen, thetas_cen, batches_cen[rnd])
         thetas_cen = np.stack(halves_cen)
         dev = float(np.max(np.abs(thetas_dec.mean(axis=0) - thetas_cen[0])))

@@ -100,25 +100,51 @@ def test_unknown_command_is_a_parse_error():
         cli.main([])
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("bad.key = 1\n", "line 1: unknown key 'bad.key'"),
-        (SMALL_CONFIG + "network.n_nodes = 3\n", "network.n_nodes = 3"),
-    ],
-    ids=["bad_key", "bad_network_shape"],
-)
-def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, text,
-                                                    message):
-    cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(text)
-    out_dir = tmp_path / "results"
-    code = cli.main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+def _assert_one_error_line(code, capsys, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("qknet: error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "text, config, message",
+    [
+        ("bad.key = 1\n", "bad.cfg", "line 1: unknown key 'bad.key'"),
+        (SMALL_CONFIG + "network.n_nodes = 3\n", "bad.cfg",
+         "network.n_nodes = 3"),
+        (SMALL_CONFIG, "missing.cfg", "No such file or directory"),
+        (SMALL_CONFIG, ".", "Is a directory"),
+        (SMALL_CONFIG + "data.source = csv\n"
+         "data.csv_path = no/such/points.csv\n", "bad.cfg",
+         "No such file or directory: 'no/such/points.csv'"),
+    ],
+    ids=["bad_key", "bad_network_shape", "missing_config", "config_is_a_dir",
+         "missing_csv"],
+)
+def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, text,
+                                                    config, message):
+    (tmp_path / "bad.cfg").write_text(text)
+    out_dir = tmp_path / "results"
+    code = cli.main(["run", "--config", str(tmp_path / config),
+                     "--out", str(out_dir)])
+    _assert_one_error_line(code, capsys, message)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path: path.write_text("{\"mode\": "), "scores.json is not JSON"),
+        (lambda path: path.mkdir(), "Is a directory"),
+    ],
+    ids=["not_json", "is_a_dir"],
+)
+def test_report_reports_an_unreadable_scores_file_as_one_error_line(
+        tmp_path, capsys, make, message):
+    make(tmp_path / "scores.json")
+    code = cli.main(["report", "--out", str(tmp_path)])
+    _assert_one_error_line(code, capsys, message)
 
 
 def test_gen_data_reports_bad_input_as_one_error_line(tmp_path, capsys):

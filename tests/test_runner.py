@@ -44,7 +44,10 @@ def test_derived_rng_is_reproducible_and_tag_separated():
 def test_prepare_problem_distributes_data_without_leakage():
     problem = runner.prepare_problem(tiny_config(), "decentralized")
     assert len(problem.nodes) == 4
-    assert problem.topology is not None and problem.weights is not None
+    assert np.array_equal(problem.weights,
+                          dnet.metropolis_weights(dnet.ring(4)))
+    local = runner.prepare_problem(tiny_config(), "local")
+    assert np.array_equal(local.weights, np.eye(4))
     total = sum(len(n.train_rows) + len(n.test_rows) for n in problem.nodes)
     assert total == 32
     assert len(problem.global_train) == sum(len(n.train_rows) for n in problem.nodes)
@@ -61,7 +64,7 @@ def test_prepare_problem_distributes_data_without_leakage():
 def test_prepare_problem_centralized_pools_everything():
     problem = runner.prepare_problem(tiny_config(), "centralized")
     assert len(problem.nodes) == 1
-    assert problem.topology is None
+    assert problem.weights.tolist() == [[1.0]]
     assert problem.nodes[0].train_rows == range(len(problem.global_train))
     assert problem.nodes[0].test_rows == range(len(problem.global_test))
     assert len(problem.global_train) + len(problem.global_test) == 32
@@ -148,10 +151,13 @@ def test_local_mode_never_mixes():
     cfg = tiny_config(run_budget=5, init_scale=0.5)
     result = runner.run(cfg, "local")
     assert result.mode == "local"
-    # without exchanges the nodes stay apart
+    # with identity weights the nodes stay apart
     assert result.records[-1].consensus_dist > 0.01
     for rep in result.reports:
         assert rep.score1 is not None
+    # so no aggregation rule has anything to mix
+    clipped = runner.run(replace(cfg, aggregation_rule="robust_clip"), "local")
+    assert runner.rounds_jsonl(clipped) == runner.rounds_jsonl(result)
 
 
 def test_evaluation_cadence_includes_start_and_end():
@@ -237,7 +243,9 @@ def test_clipped_aggregation_stays_within_tau():
     thetas = runner._init_thetas(problem)
     halves, _ = runner._half_steps(problem, thetas,
                                    runner._subsample_schedule(problem, 1)[0])
-    new = runner._exchange(problem, halves, 0, runner._neighbor_lists(problem))
+    new = runner._exchange(problem, halves, 0)
+    # the attacker receives from its weight-row support without itself
+    assert np.array_equal(new[2], -halves[[1, 3]].mean(axis=0))
     for node in problem.nodes:
         if node.role == dnet.HONEST:
             pull = np.linalg.norm(new[node.node_id] - halves[node.node_id])
@@ -250,18 +258,17 @@ def test_exchange_safety_checks_fire(monkeypatch):
     thetas = runner._init_thetas(problem)
     batches = runner._subsample_schedule(problem, 1)[0]
     halves, _ = runner._half_steps(problem, thetas, batches)
-    neighbors = runner._neighbor_lists(problem)
-    runner._exchange(problem, halves, 0, neighbors)
+    runner._exchange(problem, halves, 0)
     plain = dnet.aggregate_plain
     monkeypatch.setattr(dnet, "aggregate_plain",
                         lambda msgs, w: plain(msgs, w) + 1e-6)
     with pytest.raises(runner.RunError, match="moved the network mean"):
-        runner._exchange(problem, halves, 0, neighbors)
+        runner._exchange(problem, halves, 0)
     monkeypatch.undo()
     broken = halves.copy()
     broken[1, 0] = np.nan
     with pytest.raises(runner.RunError, match="moved the network mean by nan"):
-        runner._exchange(problem, broken, 0, neighbors)
+        runner._exchange(problem, broken, 0)
 
     cfg = tiny_config(
         nodes_roles=("honest", "honest", "signflip_attacker", "honest"),
@@ -270,15 +277,14 @@ def test_exchange_safety_checks_fire(monkeypatch):
     thetas = runner._init_thetas(problem)
     batches = runner._subsample_schedule(problem, 1)[0]
     halves, _ = runner._half_steps(problem, thetas, batches)
-    neighbors = runner._neighbor_lists(problem)
-    runner._exchange(problem, halves, 0, neighbors)
+    runner._exchange(problem, halves, 0)
     broken = halves.copy()
     broken[1, 0] = np.nan
     with pytest.raises(runner.RunError, match="by nan, beyond tau"):
-        runner._exchange(problem, broken, 0, neighbors)
+        runner._exchange(problem, broken, 0)
     monkeypatch.setattr(dnet, "clip", lambda v, tau: 2.0 * np.asarray(v, float))
     with pytest.raises(runner.RunError, match="beyond tau"):
-        runner._exchange(problem, halves, 0, neighbors)
+        runner._exchange(problem, halves, 0)
 
 
 def test_subsample_schedule_matches_per_round_draws():
