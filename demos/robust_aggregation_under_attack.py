@@ -27,7 +27,7 @@ def trajectory(rule):
     norms = [float(np.linalg.norm(thetas[0]))]
     pulls = []
     for rnd in range(ROUNDS):
-        halves, _ = runner._half_steps(prob, thetas, prob.schedule[rnd])
+        halves, _ = runner._half_steps(prob, thetas, rnd)
         mixed = runner._exchange(prob, halves, rnd)
         pulls.append(max(float(np.linalg.norm(mixed[i] - halves[i]))
                          for i in HONEST))

@@ -80,13 +80,19 @@ def _cmd_report(args) -> int:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise datamod.DataError(f"{path} is not JSON: {exc}") from None
-    print(f"mode: {payload['mode']}   seed: {payload['seed']}   "
-          f"iteration_to_threshold: {payload['iteration_to_threshold']}")
-    print(f"{'node':>4}  {'score1':>10}  {'score2':>10}  {'score3':>10}")
-    for row in payload["scores"]:
-        cells = [row["score1"], row["score2"], row["score3"]]
-        text = ["(attacker)" if c is None else f"{c:.4f}" for c in cells]
-        print(f"{row['node']:>4}  {text[0]:>10}  {text[1]:>10}  {text[2]:>10}")
+    try:
+        lines = [f"mode: {payload['mode']}   seed: {payload['seed']}   "
+                 f"iteration_to_threshold: {payload['iteration_to_threshold']}",
+                 f"{'node':>4}  {'score1':>10}  {'score2':>10}  {'score3':>10}"]
+        for row in payload["scores"]:
+            cells = [row["score1"], row["score2"], row["score3"]]
+            text = ["(attacker)" if c is None else f"{c:.4f}" for c in cells]
+            lines.append(f"{row['node']:>4}  {text[0]:>10}  {text[1]:>10}"
+                         f"  {text[2]:>10}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise datamod.DataError(
+            f"{path} is not a scores object: {type(exc).__name__} {exc}") from None
+    print("\n".join(lines))
     return 0
 
 

@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError("run.budget must be at least 1")
         if self.run_eval_every < 1:
             raise ConfigError("run.eval_every must be at least 1")
+        if self.run_seed < 0:
+            raise ConfigError("run.seed must be non-negative")
         for name in ("nodes_roles", "nodes_noise_p", "nodes_eta", "nodes_subsample"):
             values = getattr(self, name)
             if len(values) not in (1, self.network_n_nodes):

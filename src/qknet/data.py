@@ -62,6 +62,8 @@ class CheckerboardSpec:
             raise DataError("points_per_cell must be positive")
         if not self.sigma > 0:
             raise DataError("sigma must be positive")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
 
 
 def cell_center(col: int, row: int):

@@ -182,10 +182,10 @@ this scale can pull honest nodes off their trained angles.
 
 def _received_mean(neighbor_messages) -> np.ndarray:
     """Per-coordinate mean of the messages an attacker received."""
-    msgs = [np.asarray(m, dtype=float) for m in neighbor_messages]
-    if not msgs:
+    msgs = np.asarray(neighbor_messages, dtype=float)
+    if not len(msgs):
         raise NetError("attacker needs at least one received message")
-    return np.stack(msgs).mean(axis=0)
+    return msgs.mean(axis=0)
 
 
 def attack_gaussian(neighbor_messages, rng: np.random.Generator) -> np.ndarray:
@@ -204,7 +204,7 @@ def attack_signflip(neighbor_messages) -> np.ndarray:
 
 def consensus_distance(thetas) -> float:
     """Largest node deviation from the network mean, in the 2-norm."""
-    stack = np.stack([np.asarray(t, dtype=float) for t in thetas])
+    stack = np.asarray(thetas, dtype=float)
     if len(stack) < 2:
         raise NetError("consensus distance needs at least two nodes")
     mean = stack.mean(axis=0)

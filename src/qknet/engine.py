@@ -47,7 +47,6 @@ per row, which lets several nodes' evaluations share one call chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -178,12 +177,6 @@ def _gather(c: np.ndarray, src: np.ndarray, s: np.ndarray, out: np.ndarray) -> N
     np.multiply(out, s, out=out)
 
 
-@dataclass
-class LayerTape:
-    sigma: np.ndarray  # batch state right after the single-qubit wall
-    wall: np.ndarray  # (B, n, 4, 4) wall transfer matrices used by the pullback
-
-
 def _noise_rates(noise: NoiseModel) -> tuple[float, float]:
     """(per-gate rate, fused wall rate) for the active noise model."""
     if noise.mode == "per_gate" and noise.p > 0.0:
@@ -213,10 +206,13 @@ def feature_states(
 ):
     """Simulate the noisy feature map for every row of ``x``.
 
-    Returns ``(states, tapes)``: ``states`` is (B, 4**n), each row the Pauli
-    coefficients Tr[rho P] of one feature state, and ``tapes`` is None unless
-    ``record_tape``. Rows are simulated in blocks of ``_block_rows(n)``; rows
-    are independent, so the result does not depend on the block size.
+    Returns ``(states, tape)``: ``states`` is (B, 4**n), each row the Pauli
+    coefficients Tr[rho P] of one feature state. ``tape`` is None unless
+    ``record_tape``; then it is ``(sigma, walls)``: each layer's (B, 4**n)
+    states right after its wall and its (B, n, 4, 4) wall transfer matrices,
+    stacked over the L layers. Rows are simulated in blocks of
+    ``_block_rows(n)``; rows are independent, so the result does not depend
+    on the block size.
     """
     theta = np.asarray(theta, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -251,9 +247,7 @@ def feature_states(
             _apply_wall(c, mats[layer], wall_out, tmp)
             c = states[lo:hi] if layer == layers - 1 else buf
             _gather(wall_out, src, s, c)
-    tapes = [LayerTape(sigma=sigma[layer], wall=walls[layer])
-             for layer in range(layers)] if record_tape else None
-    return states, tapes
+    return states, (sigma, walls) if record_tape else None
 
 
 def gram_from_states(states_a: np.ndarray, states_b: np.ndarray | None = None):
@@ -266,14 +260,15 @@ def gram_from_states(states_a: np.ndarray, states_b: np.ndarray | None = None):
 def backward(
     spec: FeatureMapSpec,
     noise: NoiseModel,
-    tapes: list[LayerTape],
+    tape: tuple[np.ndarray, np.ndarray],
     cost_ops: np.ndarray,
 ) -> np.ndarray:
     """Per-row gradients of lam_b . c_b(theta) for (B, 4**n) cost vectors.
 
-    ``tapes`` must come from a forward pass with the same noise model. The
-    costate is pulled back through each layer's transposed gather and wall;
-    the first layer's wall is skipped, since nothing reads its result.
+    ``tape`` is the ``(sigma, walls)`` pair of a forward pass with the same
+    noise model. The costate is pulled back through each layer's transposed
+    gather and wall; the first layer's wall is skipped, since nothing reads
+    its result.
     RY on wire q generates Z -> X and X -> -Z, so at its wall theta_q
     contributes sum lam[X on q] sigma[Z on q] - lam[Z on q] sigma[X on q].
     The global analytic map is an affine rescale the caller applies to the
@@ -281,7 +276,8 @@ def backward(
     sum_b lam_b . c_b when every row carries the same theta.
     """
     n = spec.n_qubits
-    if len(tapes) != spec.layers:
+    sigma, walls = tape
+    if len(sigma) != spec.layers or len(walls) != spec.layers:
         raise ValueError("tape does not match the circuit depth")
     _, _, inv, s_inv = _layer_gather(n, *_noise_rates(noise))
     lam = np.array(cost_ops, dtype=float, order="C")
@@ -291,16 +287,15 @@ def backward(
     grad = np.zeros((b, spec.n_params))
     for layer in range(spec.layers - 1, -1, -1):
         _gather(lam, inv, s_inv, buf)
-        tape = tapes[layer]
         for q in range(n):
             lv = buf.reshape(b, 4**q, 4, -1)
-            sv = tape.sigma.reshape(b, 4**q, 4, -1)
+            sv = sigma[layer].reshape(b, 4**q, 4, -1)
             grad[:, layer * n + q] = (
                 np.einsum("blr,blr->b", lv[:, :, _X], sv[:, :, _Z])
                 - np.einsum("blr,blr->b", lv[:, :, _Z], sv[:, :, _X])
             )
         if layer:
-            _apply_wall(buf, tape.wall.swapaxes(2, 3), lam, tmp)
+            _apply_wall(buf, walls[layer].swapaxes(2, 3), lam, tmp)
     return grad
 
 
@@ -364,7 +359,7 @@ def multi_alignment_grads(
     counts = [np.atleast_2d(np.asarray(x, float)).shape[0] for x in xs]
     x_all = np.vstack([np.atleast_2d(np.asarray(x, float)) for x in xs])
     theta_rows = np.repeat(thetas, counts, axis=0)
-    states, tapes = feature_states(spec, theta_rows, x_all, noise, record_tape=True)
+    states, tape = feature_states(spec, theta_rows, x_all, noise, record_tape=True)
     scale = (1.0 - noise.p) if noise.mode == "global" else 1.0
     cost = np.zeros_like(states)
     values = []
@@ -376,7 +371,7 @@ def multi_alignment_grads(
         values.append(a)
         cost[offset : offset + c] = (2.0 * scale / spec.dim) * (w @ block)
         offset += c
-    per_row = backward(spec, noise, tapes, cost)
+    per_row = backward(spec, noise, tape, cost)
     grads = np.zeros_like(thetas)
     offset = 0
     for i, c in enumerate(counts):

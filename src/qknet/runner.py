@@ -114,9 +114,11 @@ class Problem:
     mixing matrix ``weights``, whose off-diagonal support is the network.
     Each node's data are one contiguous block of ``global_train`` and of
     ``global_test``.
-    ``schedule`` holds every round's subsample batches, drawn once for the
-    ``nodes`` and the ``config.run_budget`` the problem was prepared with; a
-    problem built by replacing either keeps the old draws.
+    ``schedule`` holds every round's subsample as row indices of
+    ``global_train``: a (rounds, q) int array per honest node and None for
+    the others, drawn once for the ``nodes`` and the ``config.run_budget``
+    the problem was prepared with; a problem built by replacing either keeps
+    the old draws.
     """
 
     mode: str
@@ -127,7 +129,7 @@ class Problem:
     global_test: LabeledDataset
     weights: np.ndarray
     eval_noise: NoiseModel
-    schedule: tuple[tuple[_GroupBatch, ...], ...]
+    schedule: tuple[np.ndarray | None, ...]
 
     @property
     def honest_ids(self) -> list[int]:
@@ -264,66 +266,56 @@ def _init_thetas(problem: Problem) -> np.ndarray:
     return thetas
 
 
-@dataclass(frozen=True)
-class _GroupBatch:
-    """One round's subsamples for the honest nodes sharing a noise model."""
-
-    noise: NoiseModel
-    ids: list[int]
-    etas: list[float]
-    xs: list[np.ndarray]
-    ys: list[np.ndarray]
-
-
 def _subsample_schedule(problem: Problem,
-                        rounds: int) -> tuple[tuple[_GroupBatch, ...], ...]:
-    """Every round's subsample batches, grouped by honest noise model.
+                        rounds: int) -> tuple[np.ndarray | None, ...]:
+    """Every round's subsample rows of ``global_train``, one array per node.
 
-    Each (node, round) draws from its own TAG_SUBSAMPLE stream, so drawing
-    the whole schedule up front gives the same rows as drawing round by
-    round. A subsample size at or above the local set means a full batch.
+    An honest node's entry is (rounds, q) with q its subsample size; other
+    nodes get None. Each (node, round) draws from its own TAG_SUBSAMPLE
+    stream, so drawing the whole schedule up front gives the same rows as
+    drawing round by round. A subsample size at or above the local set
+    means a full batch.
     """
-    seed, train = problem.config.run_seed, problem.global_train
-    groups: dict[NoiseModel, list[NodeSetup]] = {}
-    picks = {}  # node -> (x, y) of every round's subsample, (rounds, q, ...)
+    seed = problem.config.run_seed
+    schedule = []
     for node in problem.nodes:
         if node.role != dnet.HONEST:
+            schedule.append(None)
             continue
-        groups.setdefault(node.noise, []).append(node)
-        i, rows = node.node_id, node.train_rows
-        q = min(node.subsample, len(rows))
-        idx = np.empty((rounds, q), dtype=np.intp)
+        rows = node.train_rows
+        idx = np.empty((rounds, min(node.subsample, len(rows))), dtype=np.intp)
         for rnd in range(rounds):
-            idx[rnd] = derived_rng(seed, TAG_SUBSAMPLE, i, rnd).choice(
-                len(rows), size=q, replace=False)
-        idx += rows.start
-        picks[i] = (train.x[idx], train.y[idx])
-    return tuple(tuple(_GroupBatch(noise, [n.node_id for n in nodes],
-                                   [n.eta for n in nodes],
-                                   [picks[n.node_id][0][rnd] for n in nodes],
-                                   [picks[n.node_id][1][rnd] for n in nodes])
-                       for noise, nodes in groups.items())
-                 for rnd in range(rounds))
+            idx[rnd] = derived_rng(seed, TAG_SUBSAMPLE, node.node_id, rnd).choice(
+                len(rows), size=idx.shape[1], replace=False)
+        schedule.append(idx + rows.start)
+    return tuple(schedule)
 
 
-def _half_steps(problem: Problem, thetas: np.ndarray,
-                batches: tuple[_GroupBatch, ...]):
+def _half_steps(problem: Problem, thetas: np.ndarray, rnd: int):
     """Per-node half-step parameters and subsample metrics for one round.
 
-    ``batches`` is the round's entry of ``Problem.schedule``; each group
-    shares one batched simulation. Rows of nodes that are not honest keep
-    their stored parameters.
+    The honest nodes sharing a noise model, in order of first appearance,
+    share one batched simulation of their round-``rnd`` subsamples. Rows of
+    nodes that are not honest keep their stored parameters.
     """
+    groups: dict[NoiseModel, list[NodeSetup]] = {}
+    for node in problem.nodes:
+        if node.role == dnet.HONEST:
+            groups.setdefault(node.noise, []).append(node)
+    train = problem.global_train
     halves = thetas.copy()
     metrics: list[tuple[float, float, float] | None] = [None] * len(problem.nodes)
-    for batch in batches:
+    for noise, nodes in groups.items():
+        ids = [n.node_id for n in nodes]
+        rows = [problem.schedule[i][rnd] for i in ids]
         values, grads = engine.multi_alignment_grads(
-            problem.spec, thetas[batch.ids], batch.xs, batch.ys, batch.noise)
+            problem.spec, thetas[ids], [train.x[r] for r in rows],
+            [train.y[r] for r in rows], noise)
         # row by row: right after the simulation one fancy-indexed update
         # costs more than these few basic-indexed ones
-        for i, eta, a, g in zip(batch.ids, batch.etas, values, grads):
-            halves[i] += eta * g
-            metrics[i] = (-a, a, math.sqrt(float(g @ g)))
+        for node, a, g in zip(nodes, values, grads):
+            halves[node.node_id] += node.eta * g
+            metrics[node.node_id] = (-a, a, math.sqrt(float(g @ g)))
     return halves, metrics
 
 
@@ -423,15 +415,16 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
     if mode != problem.mode:
         raise RunError(
             f"the problem was prepared for mode {problem.mode!r}, not {mode!r}")
-    if len(problem.schedule) < cfg.run_budget:
+    prepared = min(len(idx) for idx in problem.schedule if idx is not None)
+    if prepared < cfg.run_budget:
         raise RunError(
-            f"run.budget = {cfg.run_budget} exceeds the {len(problem.schedule)}"
+            f"run.budget = {cfg.run_budget} exceeds the {prepared}"
             " rounds of subsamples the problem was prepared with")
     thetas = _init_thetas(problem)
     rounds = []  # (per-node metrics, consensus distance) of each round
     evals: list[EvalPoint] = []
     for rnd in range(cfg.run_budget):
-        halves, metrics = _half_steps(problem, thetas, problem.schedule[rnd])
+        halves, metrics = _half_steps(problem, thetas, rnd)
         thetas = _exchange(problem, halves, rnd)
         consensus = (dnet.consensus_distance(thetas)
                      if len(problem.nodes) >= 2 else 0.0)

@@ -108,26 +108,30 @@ def _assert_one_error_line(code, capsys, message):
 
 
 @pytest.mark.parametrize(
-    "text, config, message",
+    "text, config, flags, message",
     [
-        ("bad.key = 1\n", "bad.cfg", "line 1: unknown key 'bad.key'"),
-        (SMALL_CONFIG + "network.n_nodes = 3\n", "bad.cfg",
+        ("bad.key = 1\n", "bad.cfg", [], "line 1: unknown key 'bad.key'"),
+        (SMALL_CONFIG + "network.n_nodes = 3\n", "bad.cfg", [],
          "network.n_nodes = 3"),
-        (SMALL_CONFIG, "missing.cfg", "No such file or directory"),
-        (SMALL_CONFIG, ".", "Is a directory"),
+        (SMALL_CONFIG, "missing.cfg", [], "No such file or directory"),
+        (SMALL_CONFIG, ".", [], "Is a directory"),
         (SMALL_CONFIG + "data.source = csv\n"
-         "data.csv_path = no/such/points.csv\n", "bad.cfg",
+         "data.csv_path = no/such/points.csv\n", "bad.cfg", [],
          "No such file or directory: 'no/such/points.csv'"),
+        (SMALL_CONFIG + "run.seed = -1\n", "bad.cfg", [],
+         "run.seed must be non-negative"),
+        (SMALL_CONFIG, "bad.cfg", ["--seed", "-1"],
+         "run.seed must be non-negative"),
     ],
     ids=["bad_key", "bad_network_shape", "missing_config", "config_is_a_dir",
-         "missing_csv"],
+         "missing_csv", "negative_config_seed", "negative_seed_flag"],
 )
 def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, text,
-                                                    config, message):
+                                                    config, flags, message):
     (tmp_path / "bad.cfg").write_text(text)
     out_dir = tmp_path / "results"
     code = cli.main(["run", "--config", str(tmp_path / config),
-                     "--out", str(out_dir)])
+                     "--out", str(out_dir), *flags])
     _assert_one_error_line(code, capsys, message)
     assert not out_dir.exists()
 
@@ -137,8 +141,12 @@ def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, text,
     [
         (lambda path: path.write_text("{\"mode\": "), "scores.json is not JSON"),
         (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_text("{}"),
+         "scores.json is not a scores object: KeyError 'mode'"),
+        (lambda path: path.write_text("[1, 2]"),
+         "scores.json is not a scores object: TypeError"),
     ],
-    ids=["not_json", "is_a_dir"],
+    ids=["not_json", "is_a_dir", "empty_object", "list"],
 )
 def test_report_reports_an_unreadable_scores_file_as_one_error_line(
         tmp_path, capsys, make, message):
@@ -153,4 +161,8 @@ def test_gen_data_reports_bad_input_as_one_error_line(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "qknet: error: points_per_cell must be positive\n")
+    code = cli.main(["gen-data", "--seed", "-3", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "qknet: error: seed must be non-negative\n")
     assert not (tmp_path / "checkerboard.csv").exists()

@@ -121,6 +121,7 @@ def test_validation_catches_bad_fields():
         ("aggregation.tau = inf", "aggregation.tau"),
         ("data.sigma = inf", "data.sigma"),
         ("ridge.lam = inf", "ridge.lam"),
+        ("run.seed = -1", "run.seed"),
     ],
 )
 def test_out_of_range_values_fail_at_parse_time_naming_the_key(line, key):

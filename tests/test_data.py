@@ -35,6 +35,8 @@ def test_checkerboard_spec_validation():
         CheckerboardSpec(points_per_cell=0)
     with pytest.raises(DataError):
         CheckerboardSpec(sigma=0.0)
+    with pytest.raises(DataError, match="seed"):
+        CheckerboardSpec(seed=-3)
 
 
 def test_cell_geometry():

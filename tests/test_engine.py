@@ -64,8 +64,8 @@ def test_feature_states_match_per_point_simulation():
         spec = FeatureMapSpec(n_qubits=3, layers=2)
         theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
         x = random_batch(rng, 4)
-        states, tapes = engine.feature_states(spec, theta, x, noise)
-        assert tapes is None
+        states, tape = engine.feature_states(spec, theta, x, noise)
+        assert tape is None
         assert states.shape == (4, 4**spec.n_qubits)
         strings = pauli_strings(spec.n_qubits)
         for i in range(4):
@@ -96,17 +96,19 @@ def test_feature_states_in_row_blocks_match_single_rows():
     shared = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     per_row = rng.uniform(-np.pi, np.pi, size=(b, spec.n_params))
     for theta in (shared, per_row):
-        states, tapes = engine.feature_states(spec, theta, x, noise, record_tape=True)
-        grad = engine.backward(spec, noise, tapes, cost)
+        states, tape = engine.feature_states(spec, theta, x, noise, record_tape=True)
+        grad = engine.backward(spec, noise, tape, cost)
+        sigma, walls = tape
+        assert sigma.shape == (spec.layers, b, 4**spec.n_qubits)
+        assert walls.shape == (spec.layers, b, spec.n_qubits, 4, 4)
         for i in range(b):
             row_theta = theta if theta.ndim == 1 else theta[i]
-            single, single_tapes = engine.feature_states(
+            single, single_tape = engine.feature_states(
                 spec, row_theta, x[i : i + 1], noise, record_tape=True)
             assert np.array_equal(states[i], single[0])
-            for tape, single_tape in zip(tapes, single_tapes):
-                assert np.array_equal(tape.sigma[i], single_tape.sigma[0])
-                assert np.array_equal(tape.wall[i], single_tape.wall[0])
-            single_grad = engine.backward(spec, noise, single_tapes,
+            assert np.array_equal(sigma[:, i], single_tape[0][:, 0])
+            assert np.array_equal(walls[:, i], single_tape[1][:, 0])
+            single_grad = engine.backward(spec, noise, single_tape,
                                           cost[i : i + 1])
             assert np.max(np.abs(grad[i] - single_grad[0])) < 1e-12
 
@@ -117,20 +119,19 @@ def test_feature_states_arrays_are_c_ordered_and_owned_by_their_call():
     noise = NoiseModel(mode="per_gate", p=0.01)
     b = 2 * engine._block_rows(spec.n_qubits) + 3  # three blocks, the last short
     theta = rng.uniform(-np.pi, np.pi, size=(b, spec.n_params))
-    states, tapes = engine.feature_states(
+    states, tape = engine.feature_states(
         spec, theta, random_batch(rng, b), noise, record_tape=True)
     assert states.flags.c_contiguous
-    for tape in tapes:
-        assert tape.sigma.flags.c_contiguous and tape.wall.flags.c_contiguous
-    kept = states.copy(), [(t.sigma.copy(), t.wall.copy()) for t in tapes]
+    for sigma, wall in zip(*tape):  # layer by layer
+        assert sigma.flags.c_contiguous and wall.flags.c_contiguous
+    kept = states.copy(), [arr.copy() for arr in tape]
 
     other_x = random_batch(rng, b)
     engine.feature_states(spec, theta[::-1], other_x, noise, record_tape=True)
     engine.feature_states(spec, theta, other_x, noise)
     assert np.array_equal(states, kept[0])
-    for tape, (sigma, wall) in zip(tapes, kept[1]):
-        assert np.array_equal(tape.sigma, sigma)
-        assert np.array_equal(tape.wall, wall)
+    for arr, copy in zip(tape, kept[1]):
+        assert np.array_equal(arr, copy)
 
 
 def test_backward_leaves_cost_and_tapes_unchanged():
@@ -138,18 +139,17 @@ def test_backward_leaves_cost_and_tapes_unchanged():
     spec = FeatureMapSpec(n_qubits=3, layers=3)
     noise = NoiseModel(mode="per_gate", p=0.01)
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    _, tapes = engine.feature_states(
+    _, tape = engine.feature_states(
         spec, theta, random_batch(rng, 6), noise, record_tape=True)
     cost = rng.normal(size=(6, 4**spec.n_qubits))
-    kept = cost.copy(), [(t.sigma.copy(), t.wall.copy()) for t in tapes]
-    grad = engine.backward(spec, noise, tapes, cost)
+    kept = cost.copy(), [arr.copy() for arr in tape]
+    grad = engine.backward(spec, noise, tape, cost)
     assert np.array_equal(cost, kept[0])
-    for tape, (sigma, wall) in zip(tapes, kept[1]):
-        assert np.array_equal(tape.sigma, sigma)
-        assert np.array_equal(tape.wall, wall)
-    # a second sweep over the same tapes, from a Fortran-ordered copy of the
+    for arr, copy in zip(tape, kept[1]):
+        assert np.array_equal(arr, copy)
+    # a second sweep over the same tape, from a Fortran-ordered copy of the
     # cost, gives the same gradient
-    again = engine.backward(spec, noise, tapes, np.asfortranarray(cost))
+    again = engine.backward(spec, noise, tape, np.asfortranarray(cost))
     assert np.array_equal(grad, again)
 
 
@@ -301,11 +301,11 @@ def test_multi_alignment_matches_per_node_calls():
 
 def test_backward_validates_tape_depth():
     spec = FeatureMapSpec(n_qubits=2, layers=2)
-    states, tapes = engine.feature_states(
+    states, (sigma, walls) = engine.feature_states(
         spec, np.zeros(spec.n_params), np.zeros((1, 2)), record_tape=True
     )
-    with pytest.raises(ValueError):
-        engine.backward(spec, NoiseModel(), tapes[:1], states)
+    with pytest.raises(ValueError, match="tape does not match the circuit depth"):
+        engine.backward(spec, NoiseModel(), (sigma[:1], walls[:1]), states)
 
 
 def test_gram_from_states_clips_to_unit_interval():

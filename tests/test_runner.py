@@ -241,8 +241,9 @@ def test_clipped_aggregation_stays_within_tau():
     )
     problem = runner.prepare_problem(cfg, "decentralized")
     thetas = runner._init_thetas(problem)
-    halves, _ = runner._half_steps(problem, thetas,
-                                   runner._subsample_schedule(problem, 1)[0])
+    assert problem.schedule[2] is None  # an attacker draws no subsample
+    halves, _ = runner._half_steps(problem, thetas, 0)
+    assert np.array_equal(halves[2], thetas[2])
     new = runner._exchange(problem, halves, 0)
     # the attacker receives from its weight-row support without itself
     assert np.array_equal(new[2], -halves[[1, 3]].mean(axis=0))
@@ -256,8 +257,7 @@ def test_clipped_aggregation_stays_within_tau():
 def test_exchange_safety_checks_fire(monkeypatch):
     problem = runner.prepare_problem(tiny_config(), "decentralized")
     thetas = runner._init_thetas(problem)
-    batches = runner._subsample_schedule(problem, 1)[0]
-    halves, _ = runner._half_steps(problem, thetas, batches)
+    halves, _ = runner._half_steps(problem, thetas, 0)
     runner._exchange(problem, halves, 0)
     plain = dnet.aggregate_plain
     monkeypatch.setattr(dnet, "aggregate_plain",
@@ -275,8 +275,7 @@ def test_exchange_safety_checks_fire(monkeypatch):
         aggregation_rule="robust_clip", aggregation_tau=0.05, init_scale=0.5)
     problem = runner.prepare_problem(cfg, "decentralized")
     thetas = runner._init_thetas(problem)
-    batches = runner._subsample_schedule(problem, 1)[0]
-    halves, _ = runner._half_steps(problem, thetas, batches)
+    halves, _ = runner._half_steps(problem, thetas, 0)
     runner._exchange(problem, halves, 0)
     broken = halves.copy()
     broken[1, 0] = np.nan
@@ -287,23 +286,51 @@ def test_exchange_safety_checks_fire(monkeypatch):
         runner._exchange(problem, halves, 0)
 
 
-def test_subsample_schedule_matches_per_round_draws():
-    cfg = tiny_config(nodes_noise_p=(0.0005, 0.05, 0.0005, 0.0005),
-                      nodes_subsample=(3,), run_budget=4)
-    problem = runner.prepare_problem(cfg, "decentralized")
-    for schedule in (problem.schedule, runner._subsample_schedule(problem, 4)):
-        assert len(schedule) == 4
-        for rnd, batches in enumerate(schedule):
-            assert [b.ids for b in batches] == [[0, 2, 3], [1]]
-            for batch in batches:
-                for i, x, y in zip(batch.ids, batch.xs, batch.ys):
-                    train = problem.global_train.subset(
-                        problem.nodes[i].train_rows)
-                    idx = runner.derived_rng(
-                        0, runner.TAG_SUBSAMPLE, i, rnd).choice(
-                            len(train), size=3, replace=False)
-                    assert np.array_equal(x, train.x[idx])
-                    assert np.array_equal(y, train.y[idx])
+def test_subsample_schedule_matches_per_round_draws(monkeypatch):
+    calls = []
+    grads = engine.multi_alignment_grads
+
+    def record(spec, thetas, xs, ys, noise):
+        calls.append((thetas, xs, ys, noise))
+        return grads(spec, thetas, xs, ys, noise)
+
+    monkeypatch.setattr(engine, "multi_alignment_grads", record)
+    for sizes in ((3,) * 4, (3, 2, 3, 1)):
+        cfg = tiny_config(nodes_noise_p=(0.0005, 0.05, 0.0005, 0.0005),
+                          nodes_subsample=sizes, run_budget=4)
+        problem = runner.prepare_problem(cfg, "decentralized")
+
+        def drawn(i, rnd):
+            """Node i's round-rnd subsample, drawn from its own stream."""
+            train = problem.global_train.subset(problem.nodes[i].train_rows)
+            idx = runner.derived_rng(0, runner.TAG_SUBSAMPLE, i, rnd).choice(
+                len(train), size=sizes[i], replace=False)
+            return train.x[idx], train.y[idx]
+
+        train = problem.global_train
+        for schedule in (problem.schedule,
+                         runner._subsample_schedule(problem, 4)):
+            assert len(schedule) == 4
+            for i, rows in enumerate(schedule):
+                assert rows.shape == (4, sizes[i])
+                for rnd in range(4):
+                    x, y = drawn(i, rnd)
+                    assert np.array_equal(train.x[rows[rnd]], x)
+                    assert np.array_equal(train.y[rows[rnd]], y)
+
+        thetas = runner._init_thetas(problem)
+        for rnd in range(4):
+            calls.clear()
+            runner._half_steps(problem, thetas, rnd)
+            # one simulation per noise group, in order of first appearance
+            assert [c[3].p for c in calls] == [0.0005, 0.05]
+            for (rows, xs, ys, _), ids in zip(calls, ([0, 2, 3], [1])):
+                assert np.array_equal(rows, thetas[ids])
+                assert len(xs) == len(ys) == len(ids)
+                for i, x, y in zip(ids, xs, ys):
+                    want_x, want_y = drawn(i, rnd)
+                    assert np.array_equal(x, want_x)
+                    assert np.array_equal(y, want_y)
 
 
 def test_run_reads_the_prepared_schedule_up_to_its_budget():
@@ -313,7 +340,7 @@ def test_run_reads_the_prepared_schedule_up_to_its_budget():
         runner.run_problem(longer, "decentralized")
     shorter = replace(problem, config=replace(problem.config, run_budget=1))
     fresh = runner.prepare_problem(tiny_config(run_budget=1), "decentralized")
-    assert len(fresh.schedule) == 1
+    assert [len(rows) for rows in fresh.schedule] == [1, 1, 1, 1]
     assert (runner.rounds_jsonl(runner.run_problem(shorter, "decentralized"))
             == runner.rounds_jsonl(runner.run_problem(fresh, "decentralized")))
 
