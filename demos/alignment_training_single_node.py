@@ -36,9 +36,9 @@ def main():
         theta = theta - eta * grad
 
     k = engine.gram_matrix(spec, theta, train.x, noise)
-    model = learn.fit_ridge(k, train.y, lam=0.1)
+    alpha = learn.fit_ridge(k, train.y, lam=0.1)
     residual = float(np.max(np.abs((k + 0.1 * np.eye(len(train.y)))
-                                   @ model.alpha - train.y)))
+                                   @ alpha - train.y)))
     print(f"\nridge system residual: {residual:.2e}")
 
 

@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_gen)
 
     p_rep = sub.add_parser("report", help="print score tables from a run")
-    _add_common(p_rep)
+    p_rep.add_argument("--out", type=Path, default=Path("."),
+                       help="directory holding the run's scores.json")
     return parser
 
 

@@ -102,15 +102,14 @@ def metropolis_weights(top: Topology) -> np.ndarray:
     return w
 
 
-def check_weight_matrix(w: np.ndarray, atol: float = 1e-12) -> None:
+def check_weight_matrix(w: np.ndarray) -> None:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise NetError("weight matrix must be square")
-    if np.any(w < -atol):
+    if np.any(w < -1e-12):
         raise NetError("weights must be nonnegative")
-    n = len(w)
-    if not np.allclose(w.sum(axis=1), 1.0, atol=atol):
+    if not np.allclose(w.sum(axis=1), 1.0, atol=1e-12):
         raise NetError("rows must sum to 1")
-    if not np.allclose(w.sum(axis=0), 1.0, atol=atol):
+    if not np.allclose(w.sum(axis=0), 1.0, atol=1e-12):
         raise NetError("columns must sum to 1")
     if spectral_gap(w) >= 1.0 - 1e-12:
         raise NetError("deflated spectral radius must be below 1")

@@ -8,8 +8,6 @@ may estimate each kernel value from finite shots; training never does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import engine, qkernel
@@ -89,14 +87,8 @@ def noisy_alignment_grad_analytic(k: np.ndarray, dk: np.ndarray, p: float,
     return num_d / (n * np.sqrt(s)) - num * float(np.sum(shifted * dk)) / (n * s ** 1.5)
 
 
-@dataclass(frozen=True)
-class RidgeModel:
-    alpha: np.ndarray
-    lam: float
-
-
-def fit_ridge(k: np.ndarray, labels, lam: float = 0.1) -> RidgeModel:
-    """Solve (K + lam I) alpha = y; residual checked to 1e-8."""
+def fit_ridge(k: np.ndarray, labels, lam: float = 0.1) -> np.ndarray:
+    """Dual weights alpha of (K + lam I) alpha = y; residual checked to 1e-8."""
     if not lam > 0:
         raise LearnError("lambda must be positive")
     y = np.asarray(labels, dtype=float)
@@ -108,13 +100,13 @@ def fit_ridge(k: np.ndarray, labels, lam: float = 0.1) -> RidgeModel:
     residual = float(np.linalg.norm(system @ alpha - y))
     if not residual <= 1e-8:
         raise LearnError(f"ridge solve residual {residual:.2e} above 1e-8")
-    return RidgeModel(alpha=alpha, lam=lam)
+    return alpha
 
 
-def predict(model: RidgeModel, k_vec: np.ndarray) -> np.ndarray:
+def predict(alpha: np.ndarray, k_vec: np.ndarray) -> np.ndarray:
     """Label from kernel values against the training set; ties go to +1."""
     k_vec = np.asarray(k_vec, dtype=float)
-    scores = k_vec @ model.alpha
+    scores = k_vec @ alpha
     return np.where(scores >= 0.0, 1, -1)
 
 
@@ -149,7 +141,7 @@ def score(spec: qkernel.FeatureMapSpec, theta, train: LabeledDataset,
         if shots:
             k_tr = _shot_sampled_symmetric(k_tr, shots, rng)
             k_te = shot_sample(k_te, shots, rng)
-        model = fit_ridge(k_tr, train.y[tr], lam)
-        pred = predict(model, k_te)
+        alpha = fit_ridge(k_tr, train.y[tr], lam)
+        pred = predict(alpha, k_te)
         accuracies.append(float(np.mean(pred == test.y[te])))
     return accuracies[0] if whole else accuracies

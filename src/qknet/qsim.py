@@ -160,41 +160,30 @@ def depolarizing_kraus(p: float) -> list[np.ndarray]:
     ]
 
 
-def check_kraus_complete(kraus_ops, atol: float = 1e-10) -> None:
+def check_kraus_complete(kraus_ops) -> None:
     """Raise if sum_a E_a^dagger E_a deviates from the identity."""
     dim = kraus_ops[0].shape[0]
     acc = np.zeros((dim, dim), dtype=complex)
     for e in kraus_ops:
         acc += e.conj().T @ e
-    if not np.allclose(acc, np.eye(dim), atol=atol):
+    if not np.allclose(acc, np.eye(dim), atol=1e-10):
         dev = np.max(np.abs(acc - np.eye(dim)))
         raise ValueError(f"Kraus set not trace preserving (deviation {dev:.2e})")
 
 
-def apply_kraus(rho: np.ndarray, kraus_ops, qubit: int | None = None) -> np.ndarray:
-    """Apply a Kraus channel, either full-register or embedded on one qubit.
+def apply_kraus(rho: np.ndarray, kraus_ops, qubit: int) -> np.ndarray:
+    """Apply a single-qubit Kraus channel embedded on ``qubit``.
 
-    2x2 Kraus operators require ``qubit``; full-dimension operators act as
-    given. The set is validated for trace preservation before use.
+    The 2x2 set is validated for trace preservation before use.
     """
     n = n_qubits_of(rho)
     check_kraus_complete(kraus_ops)
-    dim = kraus_ops[0].shape[0]
-    if dim == 2 and n > 1:
-        if qubit is None:
-            raise ValueError("single-qubit Kraus set needs a target qubit")
-        _check_qubit(qubit, n)
-        out = np.zeros_like(rho)
-        for e in kraus_ops:
-            out += _apply_single(rho, e, qubit, n)
-        return out
-    if dim != rho.shape[0]:
-        raise ValueError(
-            f"Kraus dimension {dim} matches neither one qubit nor the register"
-        )
+    if kraus_ops[0].shape != (2, 2):
+        raise ValueError(f"Kraus operators are {kraus_ops[0].shape}, not 2x2")
+    _check_qubit(qubit, n)
     out = np.zeros_like(rho)
     for e in kraus_ops:
-        out += e @ rho @ e.conj().T
+        out += _apply_single(rho, e, qubit, n)
     return out
 
 

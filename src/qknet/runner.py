@@ -49,12 +49,12 @@ TAG_SHOTS = 5
 ROUND_KEYS = ("round", "node", "loss", "alignment", "grad_norm", "consensus_dist")
 
 
-def derived_rng(master: int, tag: int, node: int = 0, rnd: int = 0):
+def derived_rng(master: int, tag: int, node: int, rnd: int):
     seq = np.random.SeedSequence(master, spawn_key=(tag, node, rnd))
     return np.random.default_rng(seq)
 
 
-def derived_seed(master: int, tag: int, node: int = 0, rnd: int = 0) -> int:
+def derived_seed(master: int, tag: int, node: int, rnd: int) -> int:
     seq = np.random.SeedSequence(master, spawn_key=(tag, node, rnd))
     return int(seq.generate_state(1)[0])
 
@@ -214,10 +214,15 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     train_idx, test_idx = [], []
     n_train = n_test = 0
     for i in range(n_nodes):
-        tr, te = train_test_split(
-            dataset.subset(parts[i]), config.data_test_fraction,
-            seed=derived_seed(master, TAG_SPLIT, i, 0),
-        )
+        try:
+            tr, te = train_test_split(
+                dataset.subset(parts[i]), config.data_test_fraction,
+                seed=derived_seed(master, TAG_SPLIT, i, 0),
+            )
+        except DataError as exc:
+            raise RunError(
+                f"data.test_fraction = {config.data_test_fraction} cannot split"
+                f" the {len(parts[i])} points of node {i}: {exc}") from exc
         train_idx.append(parts[i][tr])
         test_idx.append(parts[i][te])
         nodes.append(NodeSetup(
@@ -376,9 +381,12 @@ def _score(problem: Problem, theta: np.ndarray, noise: NoiseModel, stream: int,
     cfg = problem.config
     rng = (derived_rng(cfg.run_seed, TAG_SHOTS, stream, rnd)
            if cfg.eval_shots else None)
-    return learn.score(problem.spec, theta, problem.global_train,
-                       problem.global_test, noise, cfg.ridge_lam,
-                       shots=cfg.eval_shots, rng=rng, splits=splits)
+    try:
+        return learn.score(problem.spec, theta, problem.global_train,
+                           problem.global_test, noise, cfg.ridge_lam,
+                           shots=cfg.eval_shots, rng=rng, splits=splits)
+    except learn.LearnError as exc:
+        raise RunError(f"ridge.lam = {cfg.ridge_lam}: {exc}") from exc
 
 
 def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,

@@ -1,7 +1,12 @@
-"""No module in src, tests or demos imports a name it never uses."""
+"""No module in src, tests or demos imports a name it never uses, and no CLI
+subcommand defines an option that its command function never reads."""
 
+import argparse
 import ast
+import inspect
 from pathlib import Path
+
+from qknet import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +51,15 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in sorted((ROOT / folder).rglob("*.py"))
              for entry in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "\n".join(found)
+
+
+def test_every_cli_option_is_read_by_its_command():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, command in sub.choices.items():
+        source = inspect.getsource(getattr(cli, "_cmd_" + name.replace("-", "_")))
+        unread += [f"{name} --{a.dest}" for a in command._actions
+                   if a.dest != "help" and f"args.{a.dest}" not in source]
+    assert not unread, unread

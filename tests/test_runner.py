@@ -37,8 +37,8 @@ def test_derived_rng_is_reproducible_and_tag_separated():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     assert not np.array_equal(a, e)
-    assert runner.derived_seed(7, 0) == runner.derived_seed(7, 0)
-    assert runner.derived_seed(7, 0) != runner.derived_seed(7, 1)
+    assert runner.derived_seed(7, 0, 0, 0) == runner.derived_seed(7, 0, 0, 0)
+    assert runner.derived_seed(7, 0, 0, 0) != runner.derived_seed(7, 1, 0, 0)
 
 
 def test_prepare_problem_distributes_data_without_leakage():
