@@ -207,7 +207,7 @@ def train_test_split(dataset: LabeledDataset, test_fraction: float = 0.25,
         if len(ix) == 0:
             continue
         ix = ix[rng.permutation(len(ix))]
-        k = int(round(test_fraction * len(ix)))
+        k = math.floor(test_fraction * len(ix) + 0.5)  # halves round up
         test.append(ix[:k])
         train.append(ix[k:])
     train = np.sort(np.concatenate(train))

@@ -29,7 +29,9 @@ ROLES = (HONEST, GAUSSIAN_ATTACKER, SIGNFLIP_ATTACKER)
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected connected graph without self-loops."""
+    """Undirected graph without self-loops. Connectivity is checked on its
+    mixing weights: `check_weight_matrix` rejects those of a disconnected
+    graph, whose deflated spectral radius is 1."""
 
     n_nodes: int
     edges: frozenset
@@ -53,21 +55,6 @@ class Topology:
             adjacency[b].append(a)
         object.__setattr__(self, "_adjacency",
                            tuple(tuple(sorted(adj)) for adj in adjacency))
-        if not self._connected():
-            raise NetError("topology must be connected")
-
-    def _connected(self) -> bool:
-        if self.n_nodes == 1:
-            return True
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in self.neighbors(i):
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == self.n_nodes
 
     def neighbors(self, i: int) -> list:
         return list(self._adjacency[i])

@@ -129,16 +129,14 @@ def _wall_ptms(
 ) -> np.ndarray:
     """(L, B, n, 4, 4) Pauli transfer matrices of every RY(theta) RZ(x_f) H wall.
 
-    ``theta`` is (T,) shared or (B, T) per row. Rows of each 4x4 matrix are
-    the output letters I, X, Y, Z; the identity letter is fixed.
+    ``theta`` is (B, T), one parameter vector per row of ``x``. Rows of each
+    4x4 matrix are the output letters I, X, Y, Z; the identity letter is
+    fixed.
     """
     layers, n = spec.layers, spec.n_qubits
     z = x[:, list(assign)]
     cz, sz = np.cos(z), np.sin(z)
-    if theta.ndim == 1:
-        theta = theta.reshape(layers, 1, n)
-    else:
-        theta = theta.reshape(-1, layers, n).swapaxes(0, 1)
+    theta = theta.reshape(-1, layers, n).swapaxes(0, 1)
     ct, st = np.cos(theta), np.sin(theta)
     m = np.zeros((layers,) + z.shape + (4, 4))
     m[..., _I, _I] = 1.0
@@ -218,6 +216,7 @@ def feature_states(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     b = x.shape[0]
     _check_theta(spec, theta, b)
+    theta = np.broadcast_to(theta, (b, spec.n_params))
     n, layers = spec.n_qubits, spec.layers
     assign = spec.feature_assignment(x.shape[1])
     src, s, _, _ = _layer_gather(n, *_noise_rates(noise))
@@ -237,8 +236,7 @@ def feature_states(
     for lo in range(0, b, step):
         hi = min(lo + step, b)
         tmp, buf = scratch[:2, : hi - lo], scratch[2, : hi - lo]
-        mats = _wall_ptms(spec, theta if theta.ndim == 1 else theta[lo:hi],
-                          x[lo:hi], assign)
+        mats = _wall_ptms(spec, theta[lo:hi], x[lo:hi], assign)
         if record_tape:
             walls[:, lo:hi] = mats
         c = np.broadcast_to(zero, buf.shape)

@@ -86,39 +86,27 @@ def analytic_noisy_kernel(k_exact, p: float, dim: int):
     return (1.0 - p) * k_exact + p / dim
 
 
-def build_layer_gates(spec: FeatureMapSpec, theta_layer, x) -> list[Gate]:
-    """Gate sequence of one layer: H wall, RZ data wall, RY wall, CNOT ring.
-
-    ``theta_layer`` holds one trainable angle per qubit, ``x`` the data point.
-    """
-    theta_layer = np.asarray(theta_layer, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if theta_layer.shape != (spec.n_qubits,):
-        raise ValueError(
-            f"theta_layer must have shape ({spec.n_qubits},), got {theta_layer.shape}"
-        )
-    assign = spec.feature_assignment(x.shape[0])
-    gates = [qsim.hadamard(q) for q in range(spec.n_qubits)]
-    gates += [qsim.rot_z(q, x[assign[q]]) for q in range(spec.n_qubits)]
-    gates += [qsim.rot_y(q, theta_layer[q]) for q in range(spec.n_qubits)]
-    if spec.n_qubits > 1:
-        gates += [
-            qsim.cnot(q, (q + 1) % spec.n_qubits) for q in range(spec.n_qubits)
-        ]
-    return gates
-
-
 def build_circuit_gates(spec: FeatureMapSpec, theta, x) -> list[Gate]:
-    """All gates of the feature map U(theta, x), layer by layer."""
+    """All gates of the feature map U(theta, x), layer by layer.
+
+    Each layer is an H wall, the RZ data wall, the RY wall of its
+    ``spec.n_qubits`` trainable angles and a CNOT ring.
+    """
     theta = np.asarray(theta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = spec.n_qubits
     if theta.shape != (spec.n_params,):
         raise ValueError(
             f"theta must have shape ({spec.n_params},), got {theta.shape}"
         )
+    assign = spec.feature_assignment(x.shape[0])
     gates: list[Gate] = []
     for layer in range(spec.layers):
-        block = theta[layer * spec.n_qubits : (layer + 1) * spec.n_qubits]
-        gates += build_layer_gates(spec, block, x)
+        gates += [qsim.hadamard(q) for q in range(n)]
+        gates += [qsim.rot_z(q, x[assign[q]]) for q in range(n)]
+        gates += [qsim.rot_y(q, theta[layer * n + q]) for q in range(n)]
+        if n > 1:
+            gates += [qsim.cnot(q, (q + 1) % n) for q in range(n)]
     return gates
 
 

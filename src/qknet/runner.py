@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,6 @@ TAG_SUBSAMPLE = 3
 TAG_ATTACK = 4
 TAG_SHOTS = 5
 
-ROUND_KEYS = ("round", "node", "loss", "alignment", "grad_norm", "consensus_dist")
-
 
 def derived_rng(master: int, tag: int, node: int, rnd: int):
     seq = np.random.SeedSequence(master, spawn_key=(tag, node, rnd))
@@ -73,20 +72,17 @@ class NodeSetup:
     test_rows: range
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     node: int
     score1: float | None
     score2: float | None
     score3: float | None
 
-    def to_dict(self) -> dict:
-        return {"node": self.node, "score1": self.score1,
-                "score2": self.score2, "score3": self.score3}
 
+class RoundRecord(NamedTuple):
+    """One node's subsample metrics at one round; its fields, in order, are
+    the keys of a ``rounds.jsonl`` line."""
 
-@dataclass(frozen=True)
-class RoundRecord:
     round: int
     node: int
     loss: float | None
@@ -94,12 +90,8 @@ class RoundRecord:
     grad_norm: float | None
     consensus_dist: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ROUND_KEYS}
 
-
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(NamedTuple):
     """The accuracy of the honest nodes' mean model at one evaluated round."""
 
     round: int
@@ -402,7 +394,7 @@ def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,
         problem, theta, node.noise, node.node_id, rnd,
         splits=[(node.train_rows, node.test_rows), (node.train_rows, every_test),
                 (every_train, every_test)])
-    return ScoreReport(node=node.node_id, score1=s1, score2=s2, score3=s3)
+    return ScoreReport(node.node_id, s1, s2, s3)
 
 
 def _mean_model(problem: Problem, thetas: np.ndarray) -> np.ndarray:
@@ -414,7 +406,7 @@ def _evaluate(problem: Problem, thetas: np.ndarray, rnd: int) -> EvalPoint:
     """Score the honest nodes' mean model; node scores wait for the end."""
     acc = _score(problem, _mean_model(problem, thetas), problem.eval_noise,
                  len(problem.nodes), rnd)
-    return EvalPoint(round=rnd, mean_model_accuracy=acc)
+    return EvalPoint(rnd, acc)
 
 
 def run_problem(problem: Problem, mode: str) -> RunResult:
@@ -447,19 +439,14 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
     # built after the loop: right after each engine call every operation
     # runs on caches the simulation has just evicted
     records = tuple(
-        RoundRecord(round=r, node=i,
-                    loss=None if m is None else m[0],
-                    alignment=None if m is None else m[1],
-                    grad_norm=None if m is None else m[2],
-                    consensus_dist=consensus)
+        RoundRecord(r, i, *(m or (None, None, None)), consensus)
         for r, (metrics, consensus) in enumerate(rounds)
         for i, m in enumerate(metrics))
     # the last evaluation is of the `done` round, so of the final thetas
     reports = tuple(
         evaluate_node(problem, node, thetas[node.node_id], rnd)
         if node.role == dnet.HONEST
-        else ScoreReport(node=node.node_id, score1=None, score2=None,
-                         score3=None)
+        else ScoreReport(node.node_id, None, None, None)
         for node in problem.nodes)
     iters = _first_crossing(tuple(evals), cfg.run_threshold)
     return RunResult(
@@ -482,7 +469,7 @@ def _first_crossing(evals, threshold: float) -> int | None:
 
 
 def rounds_jsonl(result: RunResult) -> str:
-    lines = [json.dumps(rec.to_dict()) for rec in result.records]
+    lines = [json.dumps(rec._asdict()) for rec in result.records]
     return "\n".join(lines) + "\n"
 
 
@@ -493,10 +480,8 @@ def scores_json(result: RunResult) -> dict:
         "threshold": result.config.run_threshold,
         "iteration_to_threshold": result.iterations_to_threshold,
         "final_round": result.final_round,
-        "scores": [r.to_dict() for r in result.reports],
-        "evals": [{"round": p.round,
-                   "mean_model_accuracy": p.mean_model_accuracy}
-                  for p in result.evals],
+        "scores": [r._asdict() for r in result.reports],
+        "evals": [p._asdict() for p in result.evals],
         "config": dump_config(result.config),
     }
 

@@ -122,19 +122,14 @@ def _assert_one_error_line(code, capsys, message):
          "run.seed must be non-negative"),
         (SMALL_CONFIG, "bad.cfg", ["--seed", "-1"],
          "run.seed must be non-negative"),
-        ("run.budget = 1\nridge.lam = 1e-8\n", "bad.cfg", [],
-         "ridge.lam = 1e-08: ridge solve residual"),
         ("data.test_fraction = 0.02\n", "bad.cfg", [],
          "data.test_fraction = 0.02 cannot split the 40 points of node 0"),
-        ("data.points_per_cell = 1\n", "bad.cfg", [],
-         "data.test_fraction = 0.25 cannot split the 4 points of node 0"),
         ("network.n_nodes = 2\n", "bad.cfg", [],
          "network.topology = ring with network.n_nodes = 2"),
     ],
     ids=["bad_key", "bad_network_shape", "missing_config", "config_is_a_dir",
          "missing_csv", "negative_config_seed", "negative_seed_flag",
-         "tiny_ridge_lam", "tiny_test_fraction", "one_point_per_cell",
-         "two_node_ring"],
+         "tiny_test_fraction", "two_node_ring"],
 )
 def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, text,
                                                     config, flags, message):

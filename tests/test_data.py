@@ -21,7 +21,7 @@ def test_dataset_validation():
         LabeledDataset(np.zeros(4), np.array([1, -1, 1, -1]))
 
 
-def test_dataset_subset_and_union():
+def test_dataset_subset():
     ds = LabeledDataset(np.arange(8.0).reshape(4, 2), np.array([1, -1, 1, -1]))
     sub = ds.subset([2, 0])
     assert np.array_equal(sub.x, [[4.0, 5.0], [0.0, 1.0]])
@@ -247,6 +247,15 @@ def test_train_test_split_determinism_and_validation():
         data.train_test_split(ds, test_fraction=0.0)
     with pytest.raises(DataError):
         data.train_test_split(ds, test_fraction=1.0)
+
+
+def test_train_test_split_rounds_halves_up():
+    for per_label, want in ((2, 1), (6, 2), (10, 3)):
+        ds = LabeledDataset(np.zeros((2 * per_label, 2)),
+                            np.repeat([1, -1], per_label))
+        train, test = data.train_test_split(ds, test_fraction=0.25)
+        assert int(np.sum(ds.y[test] == 1)) == int(np.sum(ds.y[test] == -1)) == want
+        assert len(train) == 2 * (per_label - want)
 
 
 def test_train_test_split_rejects_empty_side():

@@ -18,9 +18,11 @@ def test_topology_normalizes_and_validates_edges():
 
 
 def test_topology_requires_connectivity():
-    with pytest.raises(dnet.NetError):
-        dnet.Topology(4, frozenset({(0, 1), (2, 3)}))
-    dnet.Topology(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+    split = dnet.metropolis_weights(dnet.Topology(4, frozenset({(0, 1), (2, 3)})))
+    with pytest.raises(dnet.NetError, match="deflated spectral radius"):
+        dnet.check_weight_matrix(split)
+    path = dnet.Topology(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+    dnet.check_weight_matrix(dnet.metropolis_weights(path))
 
 
 def test_neighbors_are_sorted_and_degrees_consistent():

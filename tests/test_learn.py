@@ -196,6 +196,21 @@ def test_fit_ridge_solves_regularized_system():
     assert np.max(np.abs((k + 0.1 * np.eye(6)) @ alpha - y)) < 1e-8
 
 
+def test_fit_ridge_accepts_tiny_lambda_on_a_low_rank_gram():
+    # the residual grows like 1 / lam here while the backward error stays at
+    # rounding level; an absolute residual bound would reject these solves
+    rng = np.random.default_rng(47)
+    f = rng.normal(size=(8, 2))
+    k = f @ f.T
+    y = balanced_labels(rng, 8).astype(float)
+    for lam in (1e-8, 1e-10, 1e-12):
+        alpha = learn.fit_ridge(k, y, lam=lam)
+        system = k + lam * np.eye(8)
+        backward = np.linalg.norm(system @ alpha - y) / (
+            np.linalg.norm(system) * np.linalg.norm(alpha) + np.linalg.norm(y))
+        assert backward < 1e-15
+
+
 def test_fit_ridge_validates_inputs():
     with pytest.raises(learn.LearnError):
         learn.fit_ridge(np.eye(3), [1, -1, 1], lam=0.0)

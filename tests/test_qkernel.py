@@ -84,7 +84,7 @@ def test_analytic_noisy_kernel_mixes_toward_uniform():
 
 def test_layer_gate_sequence_structure():
     spec = FeatureMapSpec(n_qubits=3, layers=1)
-    gates = qkernel.build_layer_gates(spec, np.zeros(3), np.zeros(2))
+    gates = qkernel.build_circuit_gates(spec, np.zeros(3), np.zeros(2))
     names = [g.name for g in gates]
     assert names == ["h"] * 3 + ["rz"] * 3 + ["ry"] * 3 + ["cnot"] * 3
     ring = [g.qubits for g in gates if g.name == "cnot"]
@@ -93,14 +93,8 @@ def test_layer_gate_sequence_structure():
 
 def test_single_qubit_layer_has_no_entangler():
     spec = FeatureMapSpec(n_qubits=1, layers=1)
-    gates = qkernel.build_layer_gates(spec, np.zeros(1), np.zeros(1))
+    gates = qkernel.build_circuit_gates(spec, np.zeros(1), np.zeros(1))
     assert [g.name for g in gates] == ["h", "rz", "ry"]
-
-
-def test_layer_gates_validate_theta_shape():
-    spec = FeatureMapSpec(n_qubits=3, layers=1)
-    with pytest.raises(ValueError):
-        qkernel.build_layer_gates(spec, np.zeros(2), np.zeros(2))
 
 
 def test_circuit_gates_concatenate_layers():

@@ -36,3 +36,11 @@ def test_readme_configuration_reference_lists_every_key():
     section = text.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
     keys = set(re.findall(r"`([a-z_]+\.[a-z_]+)`", section))
     assert keys == set(config._KEY_OF.values())
+    stated = dict(re.findall(r"`([a-z_]+\.[a-z_]+)`\s*\(([-+.0-9e]+)[ ;)]", section))
+    assert len(stated) == 18
+    defaults = config.ExperimentConfig()
+    for key, text in stated.items():
+        default = getattr(defaults, config._FIELD_OF[key])
+        if isinstance(default, tuple):
+            (default,) = default
+        assert float(text) == default, key

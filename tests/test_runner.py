@@ -365,6 +365,20 @@ def test_evaluate_node_matches_separate_score_calls():
             assert [report.score1, report.score2, report.score3] == want
 
 
+def test_a_failed_ridge_solve_names_ridge_lam(monkeypatch):
+    problem = runner.prepare_problem(tiny_config(), "decentralized")
+    real = engine.train_test_grams
+
+    def nan_grams(*args):
+        k_train, k_cross = real(*args)
+        return np.full_like(k_train, np.nan), k_cross
+
+    monkeypatch.setattr(engine, "train_test_grams", nan_grams)
+    with pytest.raises(runner.RunError,
+                       match="ridge.lam = 0.1: ridge solve residual nan"):
+        runner.run_problem(problem, "decentralized")
+
+
 def test_shot_based_evaluation_is_seeded():
     cfg = tiny_config(eval_shots=64, run_budget=2)
     a = runner.run(cfg, "decentralized")
@@ -388,7 +402,7 @@ def test_rounds_jsonl_schema():
     assert len(lines) == len(result.records)
     for line in lines:
         rec = json.loads(line)
-        assert tuple(rec.keys()) == runner.ROUND_KEYS
+        assert tuple(rec.keys()) == runner.RoundRecord._fields
 
 
 def test_scores_json_echoes_config():
