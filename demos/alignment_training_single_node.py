@@ -7,19 +7,18 @@ training criterion and the held-out accuracy move together.
 
 import numpy as np
 
-from qknet import data, engine, learn, qkernel
+from qknet import data, engine, learn
 
 
 def main():
-    dataset = data.gen_checkerboard(
-        data.CheckerboardSpec(points_per_cell=3, sigma=0.04, seed=1))
+    dataset = data.gen_checkerboard(points_per_cell=3, sigma=0.04, seed=1)
     train_idx, test_idx = data.train_test_split(dataset, 0.25, seed=1)
     train = dataset.subset(train_idx)
     test = dataset.subset(test_idx)
     print(f"{len(train.y)} training points, {len(test.y)} test points")
 
-    spec = qkernel.FeatureMapSpec(n_qubits=5, layers=8)
-    noise = qkernel.NoiseModel(mode="per_gate", p=0.0005)
+    spec = engine.FeatureMapSpec(n_qubits=5, layers=8)
+    noise = engine.NoiseModel(mode="per_gate", p=0.0005)
     rng = np.random.default_rng(3)
     theta = 0.1 * rng.normal(size=spec.n_qubits * spec.layers)
     eta = 0.2

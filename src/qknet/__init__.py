@@ -1,8 +1,8 @@
-"""Decentralized quantum kernel learning over simulated noisy nodes."""
+"""Decentralized quantum kernel learning over simulated noisy nodes.
 
-from . import config, data, dnet, engine, learn, qkernel, qsim, runner
+Import the submodules by name (``from qknet import runner``); the package
+loads none of them itself, so a run never loads the gate-by-gate reference
+(``qsim`` + ``qkernel``).
+"""
 
-__all__ = [
-    "config", "data", "dnet", "engine", "learn", "qkernel", "qsim", "runner",
-]
 __version__ = "0.1.0"

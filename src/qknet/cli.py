@@ -62,9 +62,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    spec = datamod.CheckerboardSpec(points_per_cell=args.points_per_cell,
-                                    sigma=args.sigma, seed=seed)
-    dataset = datamod.gen_checkerboard(spec)
+    dataset = datamod.gen_checkerboard(args.points_per_cell, args.sigma, seed)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "checkerboard.csv"
     datamod.save_csv(dataset, path)

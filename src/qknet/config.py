@@ -12,9 +12,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import dnet
-from .data import STRATEGIES
-from .qkernel import NOISE_MODES
-from .qsim import MAX_QUBITS
+from .data import MAX_SIGMA, STRATEGIES
+from .engine import MAX_QUBITS, NOISE_MODES
 
 
 class ConfigError(ValueError):
@@ -73,8 +72,8 @@ class ExperimentConfig:
             raise ConfigError("data.csv_path is required when data.source = csv")
         if self.data_points_per_cell < 1:
             raise ConfigError("data.points_per_cell must be at least 1")
-        if not self.data_sigma > 0.0:
-            raise ConfigError("data.sigma must be positive")
+        if not 0.0 < self.data_sigma <= MAX_SIGMA:
+            raise ConfigError(f"data.sigma must lie in (0, {MAX_SIGMA}]")
         if not 0.0 < self.data_test_fraction < 1.0:
             raise ConfigError("data.test_fraction must lie in (0, 1)")
         if self.partition_strategy not in STRATEGIES:

@@ -16,6 +16,8 @@ import numpy as np
 GRID = 4
 CELL = 0.25
 STRATEGIES = ("region", "random")
+MAX_SIGMA = GRID * CELL
+"""Largest cluster spread: four cell widths, the side of the unit square."""
 
 
 class DataError(ValueError):
@@ -51,21 +53,6 @@ class LabeledDataset:
         return LabeledDataset(self.x[idx], self.y[idx])
 
 
-@dataclass(frozen=True)
-class CheckerboardSpec:
-    points_per_cell: int = 10
-    sigma: float = 0.04
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.points_per_cell < 1:
-            raise DataError("points_per_cell must be positive")
-        if not self.sigma > 0:
-            raise DataError("sigma must be positive")
-        if self.seed < 0:
-            raise DataError("seed must be non-negative")
-
-
 def cell_center(col: int, row: int):
     return np.array([(col + 0.5) * CELL, (row + 0.5) * CELL])
 
@@ -82,22 +69,34 @@ def cell_of(point) -> tuple[int, int]:
     return col, row
 
 
-def gen_checkerboard(spec: CheckerboardSpec) -> LabeledDataset:
-    rng = np.random.default_rng(spec.seed)
+def gen_checkerboard(points_per_cell: int = 10, sigma: float = 0.04,
+                     seed: int = 0) -> LabeledDataset:
+    """``points_per_cell`` points around each cell center, spread ``sigma``.
+
+    A draw outside the unit square is redrawn, so ``sigma`` is bounded by
+    MAX_SIGMA: the acceptance rate of a corner cell falls about as 1/sigma^2.
+    """
+    if points_per_cell < 1:
+        raise DataError("points_per_cell must be positive")
+    if not 0.0 < sigma <= MAX_SIGMA:
+        raise DataError(f"sigma must lie in (0, {MAX_SIGMA}], got {sigma}")
+    if seed < 0:
+        raise DataError("seed must be non-negative")
+    rng = np.random.default_rng(seed)
     xs, ys = [], []
     for col in range(GRID):
         for row in range(GRID):
             center = cell_center(col, row)
-            pts = np.empty((spec.points_per_cell, 2))
+            pts = np.empty((points_per_cell, 2))
             got = 0
-            while got < spec.points_per_cell:
-                cand = rng.normal(center, spec.sigma, size=(spec.points_per_cell, 2))
+            while got < points_per_cell:
+                cand = rng.normal(center, sigma, size=(points_per_cell, 2))
                 ok = cand[np.all((cand >= 0.0) & (cand <= 1.0), axis=1)]
-                take = min(len(ok), spec.points_per_cell - got)
+                take = min(len(ok), points_per_cell - got)
                 pts[got:got + take] = ok[:take]
                 got += take
             xs.append(pts)
-            ys.append(np.full(spec.points_per_cell, cell_label(col, row)))
+            ys.append(np.full(points_per_cell, cell_label(col, row)))
     return LabeledDataset(np.concatenate(xs), np.concatenate(ys))
 
 
@@ -138,19 +137,6 @@ def load_csv(path) -> LabeledDataset:
     return LabeledDataset(np.array(xs), np.array(ys))
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    strategy: str = "region"  # one of STRATEGIES
-    n_nodes: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise DataError(f"unknown partition strategy {self.strategy!r}")
-        if self.n_nodes < 1:
-            raise DataError("n_nodes must be positive")
-
-
 def _rebalance(indices: list[np.ndarray], y: np.ndarray) -> list[np.ndarray]:
     """Swap points between nodes until every node holds both labels."""
     parts = [list(ix) for ix in indices]
@@ -173,23 +159,31 @@ def _rebalance(indices: list[np.ndarray], y: np.ndarray) -> list[np.ndarray]:
     return [np.array(sorted(p), dtype=int) for p in parts]
 
 
-def partition(dataset: LabeledDataset, plan: PartitionPlan) -> list[np.ndarray]:
-    """Index lists per node: disjoint, covering, both labels present on each."""
+def partition(dataset: LabeledDataset, strategy: str = "region",
+              n_nodes: int = 4, seed: int = 0) -> list[np.ndarray]:
+    """Index lists per node: disjoint, covering, both labels present on each.
+
+    ``strategy`` is one of STRATEGIES; ``seed`` drives the random one.
+    """
+    if strategy not in STRATEGIES:
+        raise DataError(f"unknown partition strategy {strategy!r}")
+    if n_nodes < 1:
+        raise DataError("n_nodes must be positive")
     n = len(dataset)
-    if plan.n_nodes > n:
+    if n_nodes > n:
         raise DataError("more nodes than data points")
-    if plan.strategy == "region":
-        if (GRID * GRID) % plan.n_nodes != 0:
+    if strategy == "region":
+        if (GRID * GRID) % n_nodes != 0:
             raise DataError("region partition needs n_nodes dividing 16")
-        per = (GRID * GRID) // plan.n_nodes
+        per = (GRID * GRID) // n_nodes
         cells = np.array([cell_of(p) for p in dataset.x])
         flat = cells[:, 0] * GRID + cells[:, 1]  # column-major cell index
         out = [np.where((flat >= k * per) & (flat < (k + 1) * per))[0]
-               for k in range(plan.n_nodes)]
+               for k in range(n_nodes)]
     else:
-        rng = np.random.default_rng(plan.seed)
+        rng = np.random.default_rng(seed)
         order = rng.permutation(n)
-        out = [np.sort(order[k::plan.n_nodes]) for k in range(plan.n_nodes)]
+        out = [np.sort(order[k::n_nodes]) for k in range(n_nodes)]
     if any(len(ix) == 0 for ix in out):
         raise DataError("a node received no data")
     return _rebalance(out, dataset.y)

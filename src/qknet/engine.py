@@ -1,10 +1,13 @@
 """Batched Pauli-transfer evaluation of feature-map states and gradients.
 
-`qkernel.kernel_eval` walks the interference circuit one gate at a time, which
-is the readable reference path. Training loops need thousands of kernel
-entries per round, so this module simulates the forward feature map for a
-whole batch of data points at once and derives kernel matrices from the
-Hilbert-Schmidt inner products K(x, x') = Tr[rho(x) rho(x')]. The identity
+The module owns what a circuit and its noise are: `FeatureMapSpec`,
+`NoiseModel` and the global analytic map, which the gate-by-gate reference
+(`qsim` + `qkernel`) reads too. `qkernel.kernel_eval` walks the interference
+circuit one gate at a time, which is the readable reference path; a run never
+loads it. Training loops need thousands of kernel entries per round, so this
+module simulates the forward feature map for a whole batch of data points at
+once and derives kernel matrices from the Hilbert-Schmidt inner products
+K(x, x') = Tr[rho(x) rho(x')]. The identity
 is exact under every `NoiseModel`, because the per-gate channels of the
 uncompute half mirror those of the compute half: the uncompute half is the
 channel adjoint of the compute half, so its adjoint-propagated projector
@@ -47,11 +50,76 @@ per row, which lets several nodes' evaluations share one call chain.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .qkernel import FeatureMapSpec, NoiseModel, analytic_noisy_kernel
+MAX_QUBITS = 12
+NOISE_MODES = ("exact", "per_gate", "global")
+
+
+@dataclass(frozen=True)
+class FeatureMapSpec:
+    """Circuit shape: ``n_qubits`` wires, ``layers`` re-uploading layers."""
+
+    n_qubits: int = 5
+    layers: int = 8
+
+    def __post_init__(self):
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
+        if self.layers < 1:
+            raise ValueError("layers must be >= 1")
+
+    @property
+    def n_params(self) -> int:
+        return self.n_qubits * self.layers
+
+    @property
+    def dim(self) -> int:
+        return 2**self.n_qubits
+
+    def feature_assignment(self, data_dim: int) -> tuple[int, ...]:
+        """Feature index read by each qubit: qubit q reads feature q mod d."""
+        return tuple(q % data_dim for q in range(self.n_qubits))
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """The noise channel of kernel evaluation.
+
+    ``mode`` is one of exact / per_gate / global. ``p`` is the per-gate rate
+    p_tilde in per_gate mode and the global mixing rate in global mode.
+    Per-gate channels follow each gate of the compute half and mirror it in
+    the uncompute half, preceding each adjoint gate, so the uncompute half is
+    the exact channel adjoint of the compute half and the kernel is
+    symmetric. Finite shots are not part of the channel; ``learn.score``
+    samples them.
+    """
+
+    mode: str = "exact"
+    p: float = 0.0
+
+    def __post_init__(self):
+        if self.mode not in NOISE_MODES:
+            raise ValueError(f"mode must be one of {NOISE_MODES}, got {self.mode!r}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"noise rate must be in [0, 1], got {self.p}")
+        if self.mode == "exact" and self.p != 0.0:
+            raise ValueError("exact mode carries no noise rate")
+
+
+def analytic_noisy_kernel(k_exact, p: float, dim: int):
+    """Mix an exact kernel value toward the flat baseline: (1-p) K + p / D.
+
+    The one place the global map is written; elementwise on arrays.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if dim < 2:
+        raise ValueError("dim must be at least 2")
+    return (1.0 - p) * k_exact + p / dim
 
 _I, _X, _Y, _Z = range(4)  # Pauli letters, as base-4 digits of a string index
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine, qkernel
+from . import engine
 from .data import LabeledDataset
+from .engine import FeatureMapSpec, NoiseModel
 
 
 class LearnError(ValueError):
@@ -51,14 +52,14 @@ def alignment(k: np.ndarray, labels) -> float:
         raise LearnError(str(exc)) from None
 
 
-def loss(dataset: LabeledDataset, theta, spec: qkernel.FeatureMapSpec,
-         noise: qkernel.NoiseModel) -> float:
+def loss(dataset: LabeledDataset, theta, spec: FeatureMapSpec,
+         noise: NoiseModel) -> float:
     k = engine.gram_matrix(spec, theta, dataset.x, noise)
     return -alignment(k, dataset.y)
 
 
-def loss_grad(dataset: LabeledDataset, theta, spec: qkernel.FeatureMapSpec,
-              noise: qkernel.NoiseModel) -> tuple[float, np.ndarray]:
+def loss_grad(dataset: LabeledDataset, theta, spec: FeatureMapSpec,
+              noise: NoiseModel) -> tuple[float, np.ndarray]:
     """Loss and its gradient, from exact expectations."""
     values, grads = engine.multi_alignment_grads(
         spec, [theta], [dataset.x], [dataset.y], noise)
@@ -117,8 +118,8 @@ def predict(alpha: np.ndarray, k_vec: np.ndarray) -> np.ndarray:
     return np.where(scores >= 0.0, 1, -1)
 
 
-def score(spec: qkernel.FeatureMapSpec, theta, train: LabeledDataset,
-          test: LabeledDataset, noise: qkernel.NoiseModel, lam: float = 0.1,
+def score(spec: FeatureMapSpec, theta, train: LabeledDataset,
+          test: LabeledDataset, noise: NoiseModel, lam: float = 0.1,
           shots: int = 0, rng=None, splits=None):
     """Accuracy of the ridge model trained on `train`, evaluated on `test`.
 

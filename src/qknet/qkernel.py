@@ -9,81 +9,19 @@ Noise is modeled three ways: exact (none), per-gate local depolarizing at rate
 p_tilde on the wires of every executed gate (after it in the compute half,
 mirrored before it in the uncompute half), or a global analytic map that
 mixes the exact kernel value toward 1/D at a rate p.
+
+This is the gate-by-gate reference that `engine` is tested against. The
+circuit shape, the noise model and the global map are `engine`'s, so both
+paths read the same types; a run never loads this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import qsim
+from .engine import FeatureMapSpec, NoiseModel, analytic_noisy_kernel
 from .qsim import Gate
-
-NOISE_MODES = ("exact", "per_gate", "global")
-
-
-@dataclass(frozen=True)
-class FeatureMapSpec:
-    """Circuit shape: ``n_qubits`` wires, ``layers`` re-uploading layers."""
-
-    n_qubits: int = 5
-    layers: int = 8
-
-    def __post_init__(self):
-        if not 1 <= self.n_qubits <= qsim.MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {qsim.MAX_QUBITS}]")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
-
-    @property
-    def n_params(self) -> int:
-        return self.n_qubits * self.layers
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    def feature_assignment(self, data_dim: int) -> tuple[int, ...]:
-        """Feature index read by each qubit: qubit q reads feature q mod d."""
-        return tuple(q % data_dim for q in range(self.n_qubits))
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """The noise channel of kernel evaluation.
-
-    ``mode`` is one of exact / per_gate / global. ``p`` is the per-gate rate
-    p_tilde in per_gate mode and the global mixing rate in global mode.
-    Per-gate channels follow each gate of the compute half and mirror it in
-    the uncompute half, preceding each adjoint gate, so the uncompute half is
-    the exact channel adjoint of the compute half and the kernel is
-    symmetric. Finite shots are not part of the channel; ``learn.score``
-    samples them.
-    """
-
-    mode: str = "exact"
-    p: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in NOISE_MODES:
-            raise ValueError(f"mode must be one of {NOISE_MODES}, got {self.mode!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"noise rate must be in [0, 1], got {self.p}")
-        if self.mode == "exact" and self.p != 0.0:
-            raise ValueError("exact mode carries no noise rate")
-
-
-def analytic_noisy_kernel(k_exact, p: float, dim: int):
-    """Mix an exact kernel value toward the flat baseline: (1-p) K + p / D.
-
-    The one place the global map is written; elementwise on arrays.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    return (1.0 - p) * k_exact + p / dim
 
 
 def build_circuit_gates(spec: FeatureMapSpec, theta, x) -> list[Gate]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_QUBITS = 12
+from .engine import MAX_QUBITS
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

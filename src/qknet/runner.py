@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,16 +24,14 @@ import numpy as np
 from . import dnet, engine, learn
 from .config import MODES, ExperimentConfig, dump_config
 from .data import (
-    CheckerboardSpec,
     DataError,
     LabeledDataset,
-    PartitionPlan,
     gen_checkerboard,
     load_csv,
     partition,
     train_test_split,
 )
-from .qkernel import FeatureMapSpec, NoiseModel
+from .engine import FeatureMapSpec, NoiseModel
 
 
 class RunError(ValueError):
@@ -147,12 +145,8 @@ class RunResult:
 def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
     if config.data_source == "csv":
         return load_csv(config.data_csv_path)
-    spec = CheckerboardSpec(
-        points_per_cell=config.data_points_per_cell,
-        sigma=config.data_sigma,
-        seed=derived_seed(config.run_seed, TAG_DATA, 0, 0),
-    )
-    return gen_checkerboard(spec)
+    return gen_checkerboard(config.data_points_per_cell, config.data_sigma,
+                            derived_seed(config.run_seed, TAG_DATA, 0, 0))
 
 
 def _modal_noise(nodes) -> NoiseModel:
@@ -180,17 +174,13 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     if n_nodes == 1:
         parts = [np.arange(len(dataset))]
     else:
-        plan = PartitionPlan(
-            strategy=config.partition_strategy,
-            n_nodes=n_nodes,
-            seed=derived_seed(master, TAG_DATA, 1, 0),
-        )
         try:
-            parts = partition(dataset, plan)
+            parts = partition(dataset, config.partition_strategy, n_nodes,
+                              derived_seed(master, TAG_DATA, 1, 0))
         except DataError as exc:
             raise RunError(
-                f"partition.strategy = {plan.strategy} cannot split the data"
-                f" over network.n_nodes = {n_nodes}: {exc}") from exc
+                f"partition.strategy = {config.partition_strategy} cannot split"
+                f" the data over network.n_nodes = {n_nodes}: {exc}") from exc
 
     roles = config.per_node("nodes_roles")
     noise_ps = config.per_node("nodes_noise_p")
@@ -238,17 +228,15 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
                 f" network.n_nodes = {n_nodes}: {exc}") from exc
         dnet.check_weight_matrix(weights)
 
-    problem = Problem(
+    return Problem(
         mode=mode, config=config,
         spec=FeatureMapSpec(config.circuit_n_qubits, config.circuit_layers),
         nodes=tuple(nodes),
         global_train=dataset.subset(np.concatenate(train_idx)),
         global_test=dataset.subset(np.concatenate(test_idx)),
         weights=weights, eval_noise=_modal_noise(nodes),
-        schedule=(),
+        schedule=_subsample_schedule(nodes, master, config.run_budget),
     )
-    return replace(problem,
-                   schedule=_subsample_schedule(problem, config.run_budget))
 
 
 def _init_thetas(problem: Problem) -> np.ndarray:
@@ -263,7 +251,7 @@ def _init_thetas(problem: Problem) -> np.ndarray:
     return thetas
 
 
-def _subsample_schedule(problem: Problem,
+def _subsample_schedule(nodes, seed: int,
                         rounds: int) -> tuple[np.ndarray | None, ...]:
     """Every round's subsample rows of ``global_train``, one array per node.
 
@@ -273,9 +261,8 @@ def _subsample_schedule(problem: Problem,
     drawing round by round. A subsample size at or above the local set
     means a full batch.
     """
-    seed = problem.config.run_seed
     schedule = []
-    for node in problem.nodes:
+    for node in nodes:
         if node.role != dnet.HONEST:
             schedule.append(None)
             continue
@@ -326,7 +313,8 @@ def _exchange(problem: Problem, halves: np.ndarray, rnd: int):
     aggregators read. In every mode two safety checks follow: under
     ``robust_clip`` no honest node moves farther than tau from its
     half-step; under plain mixing without attackers the network mean does
-    not move.
+    not move by more than 1e-12 times the largest half-step angle (at
+    least 1).
     """
     cfg = problem.config
     w = problem.weights
@@ -360,8 +348,9 @@ def _exchange(problem: Problem, halves: np.ndarray, rnd: int):
                 f"clipped aggregation moved node {honest[worst]} by"
                 f" {pulls[worst]:.3e}, beyond tau={cfg.aggregation_tau}")
     if not robust and len(honest) == len(problem.nodes):
+        # rounding moves the mean in proportion to the angles' size
         drift = abs((new - halves).sum(axis=0)).max() / len(new)
-        if not drift <= 1e-12:
+        if not drift <= 1e-12 * max(1.0, abs(halves).max()):
             raise RunError(f"aggregation moved the network mean by {drift:.3e}")
     return new
 

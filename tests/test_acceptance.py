@@ -330,9 +330,8 @@ def test_criterion_06_matches_centralized_on_shared_data():
     nodes = tuple(replace(node0, node_id=i) for i in range(4))
     weights = dnet.metropolis_weights(dnet.complete(4))
     uniform = bool(np.all(weights == 0.25))
-    prob_dec = replace(prob_cen, nodes=nodes, weights=weights)
-    prob_dec = replace(prob_dec,
-                       schedule=runner._subsample_schedule(prob_dec, 10))
+    prob_dec = replace(prob_cen, nodes=nodes, weights=weights,
+                       schedule=runner._subsample_schedule(nodes, 0, 10))
 
     thetas_dec = runner._init_thetas(prob_dec)
     thetas_cen = runner._init_thetas(prob_cen)

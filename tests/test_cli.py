@@ -177,3 +177,13 @@ def test_gen_data_reports_bad_input_as_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "qknet: error: seed must be non-negative\n")
     assert not (tmp_path / "checkerboard.csv").exists()
+
+
+def test_gen_data_rejects_an_unbounded_sigma(tmp_path, fresh_python):
+    # a fresh process with a timeout: an unbounded spread used to redraw
+    # points outside the unit square for ever
+    proc = fresh_python("-m", "qknet.cli", "gen-data", "--sigma", "inf",
+                        "--out", str(tmp_path), timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == "qknet: error: sigma must lie in (0, 1.0], got inf\n"
+    assert not (tmp_path / "checkerboard.csv").exists()

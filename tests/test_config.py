@@ -109,6 +109,8 @@ def test_validation_catches_bad_fields():
         ("data.points_per_cell = 1", None),
         ("data.sigma = 0", "data.sigma"),
         ("data.sigma = 1e-9", None),
+        ("data.sigma = 1", None),
+        ("data.sigma = 10000", "data.sigma"),
         ("nodes.noise_mode = exact", "nodes.noise_p"),
         ("nodes.noise_mode = exact\nnodes.noise_p = 0", None),
         ("nodes.eta = nan", "nodes.eta"),

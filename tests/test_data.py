@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from qknet import data
-from qknet.data import (
-    CheckerboardSpec,
-    DataError,
-    LabeledDataset,
-    PartitionPlan,
-)
+from qknet.data import DataError, LabeledDataset
 
 
 def test_dataset_validation():
@@ -32,11 +27,15 @@ def test_dataset_subset():
 
 def test_checkerboard_spec_validation():
     with pytest.raises(DataError):
-        CheckerboardSpec(points_per_cell=0)
-    with pytest.raises(DataError):
-        CheckerboardSpec(sigma=0.0)
+        data.gen_checkerboard(points_per_cell=0)
+    # a spread far beyond the unit square would redraw almost every point
+    for sigma in (0.0, 1.0 + 1e-9, 30.0, float("inf"), float("nan")):
+        with pytest.raises(DataError, match=r"sigma must lie in \(0, 1.0\]"):
+            data.gen_checkerboard(sigma=sigma)
     with pytest.raises(DataError, match="seed"):
-        CheckerboardSpec(seed=-3)
+        data.gen_checkerboard(seed=-3)
+    ds = data.gen_checkerboard(points_per_cell=2, sigma=data.MAX_SIGMA)
+    assert len(ds) == 32 and np.all((ds.x >= 0.0) & (ds.x <= 1.0))
 
 
 def test_cell_geometry():
@@ -64,7 +63,7 @@ def test_cell_of_boundary_points():
 
 
 def test_checkerboard_generation_counts_and_range():
-    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=10, sigma=0.04, seed=0))
+    ds = data.gen_checkerboard(points_per_cell=10, sigma=0.04, seed=0)
     assert len(ds) == 160
     assert np.all(ds.x >= 0.0) and np.all(ds.x <= 1.0)
     assert int(np.sum(ds.y == 1)) == 80
@@ -72,8 +71,7 @@ def test_checkerboard_generation_counts_and_range():
 
 
 def test_checkerboard_points_cluster_at_their_cell_centers():
-    spec = CheckerboardSpec(points_per_cell=10, sigma=0.01, seed=1)
-    ds = data.gen_checkerboard(spec)
+    ds = data.gen_checkerboard(points_per_cell=10, sigma=0.01, seed=1)
     # at sigma = 0.01 essentially every point stays inside its own cell
     for xi, yi in zip(ds.x, ds.y):
         col, row = data.cell_of(xi)
@@ -81,15 +79,15 @@ def test_checkerboard_points_cluster_at_their_cell_centers():
 
 
 def test_checkerboard_is_seed_deterministic():
-    a = data.gen_checkerboard(CheckerboardSpec(seed=5))
-    b = data.gen_checkerboard(CheckerboardSpec(seed=5))
-    c = data.gen_checkerboard(CheckerboardSpec(seed=6))
+    a = data.gen_checkerboard(seed=5)
+    b = data.gen_checkerboard(seed=5)
+    c = data.gen_checkerboard(seed=6)
     assert np.array_equal(a.x, b.x)
     assert not np.array_equal(a.x, c.x)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=2, seed=3))
+    ds = data.gen_checkerboard(points_per_cell=2, seed=3)
     path = tmp_path / "points.csv"
     data.save_csv(ds, path)
     back = data.load_csv(path)
@@ -139,10 +137,11 @@ def test_save_csv_rejects_wide_features(tmp_path):
 
 
 def test_partition_plan_validation():
-    with pytest.raises(DataError):
-        PartitionPlan(strategy="striped")
-    with pytest.raises(DataError):
-        PartitionPlan(n_nodes=0)
+    ds = data.gen_checkerboard(points_per_cell=1)
+    with pytest.raises(DataError, match="striped"):
+        data.partition(ds, strategy="striped")
+    with pytest.raises(DataError, match="n_nodes"):
+        data.partition(ds, n_nodes=0)
 
 
 def partition_is_disjoint_cover(parts, n):
@@ -151,8 +150,8 @@ def partition_is_disjoint_cover(parts, n):
 
 
 def test_region_partition_groups_columns():
-    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=10, sigma=0.01, seed=0))
-    parts = data.partition(ds, PartitionPlan(strategy="region", n_nodes=4))
+    ds = data.gen_checkerboard(points_per_cell=10, sigma=0.01, seed=0)
+    parts = data.partition(ds, strategy="region", n_nodes=4)
     assert partition_is_disjoint_cover(parts, 160)
     for k, ix in enumerate(parts):
         assert len(ix) == 40
@@ -163,27 +162,27 @@ def test_region_partition_groups_columns():
 
 
 def test_region_partition_covers_points_outside_the_unit_square():
-    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=3, seed=0))
+    ds = data.gen_checkerboard(points_per_cell=3, seed=0)
     x = ds.x.copy()
     x[0], x[1] = (-0.5, 0.1), (1.7, -3.0)
     outside = LabeledDataset(x, ds.y)
     assert data.cell_of(x[0]) == (0, 0) and data.cell_of(x[1]) == (3, 0)
-    parts = data.partition(outside, PartitionPlan(strategy="region", n_nodes=4))
+    parts = data.partition(outside, strategy="region", n_nodes=4)
     assert partition_is_disjoint_cover(parts, 48)
 
 
 def test_region_partition_requires_divisor_of_grid():
-    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=2, seed=0))
+    ds = data.gen_checkerboard(points_per_cell=2, seed=0)
     with pytest.raises(DataError):
-        data.partition(ds, PartitionPlan(strategy="region", n_nodes=3))
+        data.partition(ds, strategy="region", n_nodes=3)
     for n in (1, 2, 4, 8, 16):
-        parts = data.partition(ds, PartitionPlan(strategy="region", n_nodes=n))
+        parts = data.partition(ds, strategy="region", n_nodes=n)
         assert partition_is_disjoint_cover(parts, len(ds))
 
 
 def test_random_partition_balances_sizes():
-    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=10, seed=2))
-    parts = data.partition(ds, PartitionPlan(strategy="random", n_nodes=3, seed=9))
+    ds = data.gen_checkerboard(points_per_cell=10, seed=2)
+    parts = data.partition(ds, strategy="random", n_nodes=3, seed=9)
     assert partition_is_disjoint_cover(parts, 160)
     sizes = sorted(len(p) for p in parts)
     assert sizes[-1] - sizes[0] <= 1
@@ -192,10 +191,10 @@ def test_random_partition_balances_sizes():
 
 
 def test_random_partition_is_seed_deterministic():
-    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=4, seed=2))
-    a = data.partition(ds, PartitionPlan(strategy="random", n_nodes=4, seed=1))
-    b = data.partition(ds, PartitionPlan(strategy="random", n_nodes=4, seed=1))
-    c = data.partition(ds, PartitionPlan(strategy="random", n_nodes=4, seed=2))
+    ds = data.gen_checkerboard(points_per_cell=4, seed=2)
+    a = data.partition(ds, strategy="random", n_nodes=4, seed=1)
+    b = data.partition(ds, strategy="random", n_nodes=4, seed=1)
+    c = data.partition(ds, strategy="random", n_nodes=4, seed=2)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
@@ -210,7 +209,7 @@ def test_partition_rebalances_single_label_nodes():
     x = x + np.arange(10)[:, None] * 1e-4
     y = np.array([1, 1, 1, 1, -1, 1, 1, 1, 1, -1])
     ds = LabeledDataset(x, y)
-    parts = data.partition(ds, PartitionPlan(strategy="random", n_nodes=2, seed=0))
+    parts = data.partition(ds, strategy="random", n_nodes=2, seed=0)
     for ix in parts:
         assert set(ds.y[ix]) == {1, -1}
 
@@ -220,17 +219,17 @@ def test_partition_fails_when_one_label_is_unique():
     y = np.array([1, 1, 1, 1, 1, -1])
     ds = LabeledDataset(x, y)
     with pytest.raises(DataError):
-        data.partition(ds, PartitionPlan(strategy="random", n_nodes=2, seed=0))
+        data.partition(ds, strategy="random", n_nodes=2, seed=0)
 
 
 def test_partition_rejects_more_nodes_than_points():
     ds = LabeledDataset(np.zeros((2, 2)), np.array([1, -1]))
     with pytest.raises(DataError):
-        data.partition(ds, PartitionPlan(strategy="random", n_nodes=3))
+        data.partition(ds, strategy="random", n_nodes=3)
 
 
 def test_train_test_split_is_stratified():
-    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=10, seed=0))
+    ds = data.gen_checkerboard(points_per_cell=10, seed=0)
     train, test = data.train_test_split(ds, test_fraction=0.25, seed=4)
     assert partition_is_disjoint_cover([train, test], 160)
     assert len(test) == 40
@@ -239,7 +238,7 @@ def test_train_test_split_is_stratified():
 
 
 def test_train_test_split_determinism_and_validation():
-    ds = data.gen_checkerboard(CheckerboardSpec(points_per_cell=4, seed=0))
+    ds = data.gen_checkerboard(points_per_cell=4, seed=0)
     a = data.train_test_split(ds, seed=7)
     b = data.train_test_split(ds, seed=7)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

@@ -1,8 +1,5 @@
 """Every demo script runs to completion against the current package."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -12,11 +9,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
+def test_demo_runs(demo, fresh_python):
+    proc = fresh_python(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qknet import engine, learn, qkernel, qsim
-from qknet.qkernel import FeatureMapSpec, NoiseModel
+from qknet.engine import FeatureMapSpec, NoiseModel
 
 MODELS = (
     NoiseModel(),
@@ -203,7 +203,7 @@ def test_train_test_grams_match_separate_evaluations():
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 5])
 def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
-    """Every engine route applies `qkernel.analytic_noisy_kernel` and no copy."""
+    """Every engine route applies `engine.analytic_noisy_kernel` and no copy."""
     rng = np.random.default_rng(73)
     spec = FeatureMapSpec(n_qubits=n_qubits, layers=2)
     exact, noise = NoiseModel(), NoiseModel(mode="global", p=0.3)
@@ -211,7 +211,7 @@ def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
     x_train, x_test = random_batch(rng, 5), random_batch(rng, 3)
 
     def mapped(k):
-        return qkernel.analytic_noisy_kernel(k, noise.p, spec.dim)
+        return engine.analytic_noisy_kernel(k, noise.p, spec.dim)
 
     assert np.array_equal(engine.gram_matrix(spec, theta, x_train, noise),
                           mapped(engine.gram_matrix(spec, theta, x_train, exact)))
@@ -333,7 +333,7 @@ def circuits(draw):
     spec = FeatureMapSpec(
         n_qubits=draw(st.integers(1, 4)), layers=draw(st.integers(1, 3))
     )
-    mode = draw(st.sampled_from(qkernel.NOISE_MODES))
+    mode = draw(st.sampled_from(engine.NOISE_MODES))
     if mode == "exact":
         noise = NoiseModel()
     elif mode == "per_gate":

@@ -1,5 +1,6 @@
-"""No module in src, tests or demos imports a name it never uses, and no CLI
-subcommand defines an option that its command function never reads."""
+"""No module in src, tests or demos imports a name it never uses, no CLI
+subcommand defines an option that its command function never reads, and only
+the gate-by-gate reference (``qsim`` + ``qkernel``) imports the reference."""
 
 import argparse
 import ast
@@ -51,6 +52,54 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in sorted((ROOT / folder).rglob("*.py"))
              for entry in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "\n".join(found)
+
+
+REFERENCE = {"qsim", "qkernel"}
+
+
+def reference_imports(source: str) -> list[int]:
+    """Lines of the module's imports that name ``qsim`` or ``qkernel``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            parts = {p for a in node.names for p in a.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = set((node.module or "").split("."))
+            parts |= {a.name for a in node.names}
+        else:
+            continue
+        if parts & REFERENCE:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_reference_imports_sees_every_import_form():
+    source = ("from . import engine, qsim\nfrom .qkernel import kernel_eval\n"
+              "import qknet.qsim\nfrom qknet.qkernel import NoiseModel\n"
+              "from .engine import NoiseModel\nimport numpy\n")
+    assert reference_imports(source) == [1, 2, 3, 4]
+
+
+def test_only_the_reference_imports_the_reference():
+    found = [f"{path.name} line {line}"
+             for path in sorted((ROOT / "src" / "qknet").glob("*.py"))
+             if path.stem not in REFERENCE
+             for line in reference_imports(path.read_text(encoding="utf-8"))]
+    assert not found, found
+
+
+def test_a_run_loads_neither_qsim_nor_qkernel(fresh_python):
+    proc = fresh_python("-c", (
+        "import sys\n"
+        "from qknet import runner\n"
+        "from qknet.config import ExperimentConfig\n"
+        "runner.run(ExperimentConfig(circuit_n_qubits=2, circuit_layers=2,"
+        " run_budget=3))\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qknet'))))"))
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "qknet.engine" in loaded and "qknet.runner" in loaded
+    assert not REFERENCE & {m.rsplit(".", 1)[-1] for m in loaded}, loaded
 
 
 def test_every_cli_option_is_read_by_its_command():

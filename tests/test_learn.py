@@ -5,7 +5,7 @@ import pytest
 
 from qknet import engine, learn
 from qknet.data import LabeledDataset
-from qknet.qkernel import FeatureMapSpec, NoiseModel
+from qknet.engine import FeatureMapSpec, NoiseModel
 
 
 def random_psd_gram(rng, n):

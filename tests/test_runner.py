@@ -10,7 +10,7 @@ import pytest
 
 from qknet import dnet, engine, learn, runner
 from qknet.config import ExperimentConfig
-from qknet.qkernel import NoiseModel
+from qknet.engine import NoiseModel
 
 
 def tiny_config(**overrides):
@@ -286,6 +286,21 @@ def test_exchange_safety_checks_fire(monkeypatch):
         runner._exchange(problem, halves, 0)
 
 
+def test_plain_mean_check_scales_with_the_angles(monkeypatch):
+    # rounding alone moved the mean of angles of size 1e5 by 3.6e-12
+    runner.run(ExperimentConfig(circuit_n_qubits=2, circuit_layers=2,
+                                init_scale=1e5, run_budget=20))
+    plain = dnet.aggregate_plain
+    monkeypatch.setattr(dnet, "aggregate_plain",
+                        lambda msgs, w: plain(msgs, w) + 1e-6)
+    for scale in (0.1, 1e5):
+        problem = runner.prepare_problem(tiny_config(init_scale=scale),
+                                         "decentralized")
+        halves, _ = runner._half_steps(problem, runner._init_thetas(problem), 0)
+        with pytest.raises(runner.RunError, match="moved the network mean"):
+            runner._exchange(problem, halves, 0)
+
+
 def test_subsample_schedule_matches_per_round_draws(monkeypatch):
     calls = []
     grads = engine.multi_alignment_grads
@@ -309,7 +324,7 @@ def test_subsample_schedule_matches_per_round_draws(monkeypatch):
 
         train = problem.global_train
         for schedule in (problem.schedule,
-                         runner._subsample_schedule(problem, 4)):
+                         runner._subsample_schedule(problem.nodes, 0, 4)):
             assert len(schedule) == 4
             for i, rows in enumerate(schedule):
                 assert rows.shape == (4, sizes[i])
