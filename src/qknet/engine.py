@@ -316,11 +316,10 @@ def feature_states(
     return states, (sigma, walls) if record_tape else None
 
 
-def gram_from_states(states_a: np.ndarray, states_b: np.ndarray | None = None):
-    """Kernel block K[i, j] = c_a(i) . c_b(j) / D, clipped to [0, 1]."""
-    bm = states_a if states_b is None else states_b
-    d = math.isqrt(states_a.shape[1])
-    return np.clip((states_a @ bm.T) / d, 0.0, 1.0)
+def gram_from_states(states: np.ndarray) -> np.ndarray:
+    """Gram K[i, j] = c(i) . c(j) / D of (rows, 4**n) states, clipped to [0, 1]."""
+    d = math.isqrt(states.shape[1])
+    return np.clip((states @ states.T) / d, 0.0, 1.0)
 
 
 def backward(
@@ -381,20 +380,6 @@ def gram_matrix(spec: FeatureMapSpec, theta, x, noise: NoiseModel) -> np.ndarray
     x = np.atleast_2d(np.asarray(x, dtype=float))
     states, _ = feature_states(spec, theta, x, noise)
     return _affine_global(gram_from_states(states), noise, spec.dim)
-
-
-def train_test_grams(
-    spec: FeatureMapSpec, theta, x_train, x_test, noise: NoiseModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """(train Gram, test-against-train block) in one forward simulation."""
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
-    x_test = np.atleast_2d(np.asarray(x_test, dtype=float))
-    states, _ = feature_states(spec, theta, np.vstack([x_train, x_test]), noise)
-    n = x_train.shape[0]
-    k_train = gram_from_states(states[:n])
-    k_cross = gram_from_states(states[n:], states[:n])
-    d = spec.dim
-    return _affine_global(k_train, noise, d), _affine_global(k_cross, noise, d)
 
 
 def _alignment_weights(k: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

@@ -136,7 +136,9 @@ def score(spec: FeatureMapSpec, theta, train: LabeledDataset,
         raise LearnError("empty train or test set")
     if shots and rng is None:
         raise LearnError("shot sampling needs an rng")
-    k_train, k_cross = engine.train_test_grams(spec, theta, train.x, test.x, noise)
+    k = engine.gram_matrix(spec, theta, np.vstack([train.x, test.x]), noise)
+    n = len(train)
+    k_train, k_cross = k[:n, :n], k[n:, :n]
     whole = splits is None
     if whole:
         splits = [(range(len(train)), range(len(test)))]

@@ -129,8 +129,7 @@ class Problem:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A finished run; ``reports`` scores each node at ``final_round``, the
-    last entry of ``evals``."""
+    """A finished run; ``reports`` scores each node at ``final_round``."""
 
     mode: str
     config: ExperimentConfig
@@ -138,8 +137,15 @@ class RunResult:
     records: tuple[RoundRecord, ...]
     evals: tuple[EvalPoint, ...]
     reports: tuple[ScoreReport, ...]
-    iterations_to_threshold: int | None
-    final_round: int
+
+    @property
+    def final_round(self) -> int:
+        """The last round, which is always evaluated."""
+        return self.evals[-1].round
+
+    @property
+    def iterations_to_threshold(self) -> int | None:
+        return _first_crossing(self.evals, self.config.run_threshold)
 
 
 def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
@@ -228,14 +234,22 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
                 f" network.n_nodes = {n_nodes}: {exc}") from exc
         dnet.check_weight_matrix(weights)
 
+    try:
+        schedule = _subsample_schedule(nodes, master, config.run_budget)
+    except MemoryError:
+        rows = sum(min(node.subsample, len(node.train_rows))
+                   for node in nodes if node.role == dnet.HONEST)
+        size = np.dtype(np.intp).itemsize * config.run_budget * rows
+        raise RunError(
+            f"run.budget = {config.run_budget} is too large: its subsample"
+            f" schedule asks for {size} bytes, allocated up front") from None
     return Problem(
         mode=mode, config=config,
         spec=FeatureMapSpec(config.circuit_n_qubits, config.circuit_layers),
         nodes=tuple(nodes),
         global_train=dataset.subset(np.concatenate(train_idx)),
         global_test=dataset.subset(np.concatenate(test_idx)),
-        weights=weights, eval_noise=_modal_noise(nodes),
-        schedule=_subsample_schedule(nodes, master, config.run_budget),
+        weights=weights, eval_noise=_modal_noise(nodes), schedule=schedule,
     )
 
 
@@ -437,12 +451,8 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
         if node.role == dnet.HONEST
         else ScoreReport(node.node_id, None, None, None)
         for node in problem.nodes)
-    iters = _first_crossing(tuple(evals), cfg.run_threshold)
-    return RunResult(
-        mode=mode, config=cfg, thetas=thetas, records=records,
-        evals=tuple(evals), reports=reports,
-        iterations_to_threshold=iters, final_round=rnd,
-    )
+    return RunResult(mode=mode, config=cfg, thetas=thetas, records=records,
+                     evals=tuple(evals), reports=reports)
 
 
 def run(config: ExperimentConfig, mode: str = "decentralized") -> RunResult:

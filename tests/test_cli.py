@@ -126,10 +126,12 @@ def _assert_one_error_line(code, capsys, message):
          "data.test_fraction = 0.02 cannot split the 40 points of node 0"),
         ("network.n_nodes = 2\n", "bad.cfg", [],
          "network.topology = ring with network.n_nodes = 2"),
+        ("run.budget = 100000000000000\n", "bad.cfg", [],
+         "run.budget = 100000000000000 is too large"),
     ],
     ids=["bad_key", "bad_network_shape", "missing_config", "config_is_a_dir",
          "missing_csv", "negative_config_seed", "negative_seed_flag",
-         "tiny_test_fraction", "two_node_ring"],
+         "tiny_test_fraction", "two_node_ring", "huge_budget"],
 )
 def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, text,
                                                     config, flags, message):

@@ -186,21 +186,6 @@ def test_exact_gram_diagonal_is_one():
     assert np.max(np.abs(np.diag(k) - 1.0)) < 1e-10
 
 
-def test_train_test_grams_match_separate_evaluations():
-    rng = np.random.default_rng(61)
-    for noise in MODELS:
-        spec = FeatureMapSpec(n_qubits=2, layers=2)
-        theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-        x_train = random_batch(rng, 4)
-        x_test = random_batch(rng, 3)
-        k_train, k_cross = engine.train_test_grams(spec, theta, x_train, x_test, noise)
-        assert np.max(np.abs(k_train - engine.gram_matrix(spec, theta, x_train, noise))) < 1e-12
-        for i in range(3):
-            for j in range(4):
-                want = qkernel.kernel_eval(spec, theta, x_test[i], x_train[j], noise)
-                assert abs(k_cross[i, j] - want) < 1e-10
-
-
 @pytest.mark.parametrize("n_qubits", [1, 2, 5])
 def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
     """Every engine route applies `engine.analytic_noisy_kernel` and no copy."""
@@ -208,17 +193,17 @@ def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
     spec = FeatureMapSpec(n_qubits=n_qubits, layers=2)
     exact, noise = NoiseModel(), NoiseModel(mode="global", p=0.3)
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    x_train, x_test = random_batch(rng, 5), random_batch(rng, 3)
+    x = random_batch(rng, 5)
 
     def mapped(k):
         return engine.analytic_noisy_kernel(k, noise.p, spec.dim)
 
-    assert np.array_equal(engine.gram_matrix(spec, theta, x_train, noise),
-                          mapped(engine.gram_matrix(spec, theta, x_train, exact)))
-    grams = engine.train_test_grams(spec, theta, x_train, x_test, noise)
-    exact_grams = engine.train_test_grams(spec, theta, x_train, x_test, exact)
-    for got, want in zip(grams, exact_grams):
-        assert np.array_equal(got, mapped(want))
+    assert np.array_equal(engine.gram_matrix(spec, theta, x, noise),
+                          mapped(engine.gram_matrix(spec, theta, x, exact)))
+    y = balanced_labels(4)
+    values, _ = engine.multi_alignment_grads(spec, [theta], [x[:4]], [y], noise)
+    k_exact = engine.gram_matrix(spec, theta, x[:4], exact)
+    assert values[0] == learn.alignment(mapped(k_exact), y)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -344,15 +329,17 @@ def circuits(draw):
 
 
 @PROPERTY_SETTINGS
-@given(circuits(), st.integers(1, 4), st.booleans())
-def test_property_gram_matrix_matches_reference(case, n_points, per_row):
+@given(circuits(), st.integers(1, 4), st.integers(0, 3), st.booleans())
+def test_property_gram_matrix_matches_reference(case, n_train, n_test, per_row):
+    """The Gram of a train set with a test set stacked below it, the input
+    `learn.score` slices its train and cross blocks from."""
     spec, noise, rng = case
-    x = random_batch(rng, n_points)
-    shape = (n_points, spec.n_params) if per_row else (spec.n_params,)
+    x = random_batch(rng, n_train + n_test)
+    shape = (len(x), spec.n_params) if per_row else (spec.n_params,)
     theta = rng.uniform(-np.pi, np.pi, size=shape)
     k = engine.gram_matrix(spec, theta, x, noise)
-    for i in range(n_points):
-        for j in range(n_points):
+    for i in range(len(x)):
+        for j in range(len(x)):
             if per_row:  # theta_i computes, theta_j uncomputes
                 want = qkernel._interference_value(
                     spec, theta[i], theta[j], x[i], x[j], noise
@@ -360,22 +347,9 @@ def test_property_gram_matrix_matches_reference(case, n_points, per_row):
             else:
                 want = qkernel.kernel_eval(spec, theta, x[i], x[j], noise)
             assert abs(k[i, j] - want) < 1e-10
-
-
-@PROPERTY_SETTINGS
-@given(circuits(), st.integers(1, 3), st.integers(1, 3))
-def test_property_train_test_grams_match_reference(case, n_train, n_test):
-    spec, noise, rng = case
-    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    x_train, x_test = random_batch(rng, n_train), random_batch(rng, n_test)
-    k_train, k_cross = engine.train_test_grams(spec, theta, x_train, x_test, noise)
-    for i in range(n_train):
-        for j in range(n_train):
-            want = qkernel.kernel_eval(spec, theta, x_train[i], x_train[j], noise)
-            assert abs(k_train[i, j] - want) < 1e-10
-        for j in range(n_test):
-            want = qkernel.kernel_eval(spec, theta, x_test[j], x_train[i], noise)
-            assert abs(k_cross[j, i] - want) < 1e-10
+    k_train = engine.gram_matrix(spec, theta[:n_train] if per_row else theta,
+                                 x[:n_train], noise)
+    assert np.max(np.abs(k[:n_train, :n_train] - k_train)) < 1e-12
 
 
 @PROPERTY_SETTINGS

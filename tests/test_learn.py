@@ -262,7 +262,8 @@ def test_score_with_shots_needs_rng():
 
 def reference_score(spec, theta, train, test, noise, lam, shots, rng):
     """Ridge accuracy step by step; shots sample the train Gram first."""
-    k_train, k_cross = engine.train_test_grams(spec, theta, train.x, test.x, noise)
+    k = engine.gram_matrix(spec, theta, np.vstack([train.x, test.x]), noise)
+    k_train, k_cross = k[: len(train), : len(train)], k[len(train) :, : len(train)]
     if shots:
         k_train = learn._shot_sampled_symmetric(k_train, shots, rng)
         k_cross = learn.shot_sample(k_cross, shots, rng)

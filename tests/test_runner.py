@@ -12,6 +12,8 @@ from qknet import dnet, engine, learn, runner
 from qknet.config import ExperimentConfig
 from qknet.engine import NoiseModel
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -348,6 +350,14 @@ def test_subsample_schedule_matches_per_round_draws(monkeypatch):
                     assert np.array_equal(y, want_y)
 
 
+def test_a_budget_too_large_to_schedule_names_run_budget():
+    # 8 bytes x 10**14 rounds x 4 rows x 4 honest nodes: past any address
+    # space, so the allocation fails without touching memory
+    with pytest.raises(runner.RunError, match=r"run.budget = 100000000000000 "
+                       r".* 12800000000000000 bytes"):
+        runner.prepare_problem(tiny_config(run_budget=10**14), "decentralized")
+
+
 def test_run_reads_the_prepared_schedule_up_to_its_budget():
     problem = runner.prepare_problem(tiny_config(run_budget=3), "decentralized")
     longer = replace(problem, config=replace(problem.config, run_budget=4))
@@ -382,13 +392,8 @@ def test_evaluate_node_matches_separate_score_calls():
 
 def test_a_failed_ridge_solve_names_ridge_lam(monkeypatch):
     problem = runner.prepare_problem(tiny_config(), "decentralized")
-    real = engine.train_test_grams
-
-    def nan_grams(*args):
-        k_train, k_cross = real(*args)
-        return np.full_like(k_train, np.nan), k_cross
-
-    monkeypatch.setattr(engine, "train_test_grams", nan_grams)
+    monkeypatch.setattr(engine, "gram_matrix",
+                        lambda spec, theta, x, noise: np.full((len(x),) * 2, np.nan))
     with pytest.raises(runner.RunError,
                        match="ridge.lam = 0.1: ridge solve residual nan"):
         runner.run_problem(problem, "decentralized")
@@ -448,7 +453,7 @@ def test_write_outputs_creates_result_files(tmp_path):
 
 
 def _benchmark_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = REPO / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -481,3 +486,9 @@ def test_benchmark_tracing_sees_every_hooked_layer():
     assert tracer.rows["engine.feature_states.eval"] > 0
     # one clip per message with nonzero weight: 3 honest nodes x 3 x 2 rounds
     assert tracer.clip_offered == calls["dnet.clip"] == 18
+    # the traced table holds every per-layer metric the benchmark declares,
+    # but the overhead ratio, which the workload adds from its timings
+    metrics = spans.layer_metrics([tracer], problem.spec.layers)
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+    missing = {m["name"] for m in declared} - set(metrics)
+    assert missing == {"trace.overhead_ratio"}
