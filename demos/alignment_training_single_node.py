@@ -31,8 +31,9 @@ def main():
             print(f"{step:4d} {learn.alignment(k, train.y):10.4f} {acc:9.3f}")
         subsample = train.subset(rng.choice(len(train.y), size=8,
                                             replace=False))
-        _, grad = learn.loss_grad(subsample, theta, spec, noise)
-        theta = theta - eta * grad
+        _, (grad,) = engine.multi_alignment_grads(
+            spec, [theta], [subsample.x], [subsample.y], noise)
+        theta = theta + eta * grad
 
     k = engine.gram_matrix(spec, theta, train.x, noise)
     alpha = learn.fit_ridge(k, train.y, lam=0.1)

@@ -107,8 +107,9 @@ class ExperimentConfig:
             raise ConfigError("ridge.lam must be positive")
         if not 0.0 <= self.run_threshold <= 1.0:
             raise ConfigError("run.threshold must lie in [0, 1]")
-        if self.eval_shots < 0:
-            raise ConfigError("eval.shots must be 0 (exact) or positive")
+        if not 0 <= self.eval_shots < 2**63:  # the binomial draw's int64 count
+            raise ConfigError(
+                "eval.shots must be 0 (exact) or a positive count below 2**63")
         if self.run_budget < 1:
             raise ConfigError("run.budget must be at least 1")
         if self.run_eval_every < 1:

@@ -84,20 +84,25 @@ def gen_checkerboard(points_per_cell: int = 10, sigma: float = 0.04,
         raise DataError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     xs, ys = [], []
-    for col in range(GRID):
-        for row in range(GRID):
-            center = cell_center(col, row)
-            pts = np.empty((points_per_cell, 2))
-            got = 0
-            while got < points_per_cell:
-                cand = rng.normal(center, sigma, size=(points_per_cell, 2))
-                ok = cand[np.all((cand >= 0.0) & (cand <= 1.0), axis=1)]
-                take = min(len(ok), points_per_cell - got)
-                pts[got:got + take] = ok[:take]
-                got += take
-            xs.append(pts)
-            ys.append(np.full(points_per_cell, cell_label(col, row)))
-    return LabeledDataset(np.concatenate(xs), np.concatenate(ys))
+    try:
+        for col in range(GRID):
+            for row in range(GRID):
+                center = cell_center(col, row)
+                pts = np.empty((points_per_cell, 2))
+                got = 0
+                while got < points_per_cell:
+                    cand = rng.normal(center, sigma, size=(points_per_cell, 2))
+                    ok = cand[np.all((cand >= 0.0) & (cand <= 1.0), axis=1)]
+                    take = min(len(ok), points_per_cell - got)
+                    pts[got:got + take] = ok[:take]
+                    got += take
+                xs.append(pts)
+                ys.append(np.full(points_per_cell, cell_label(col, row)))
+        return LabeledDataset(np.concatenate(xs), np.concatenate(ys))
+    except MemoryError:  # a point is two float coordinates and an int label
+        size = GRID**2 * 24 * points_per_cell
+        raise DataError(f"points_per_cell = {points_per_cell} is too large:"
+                        f" its points take {size} bytes") from None
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

@@ -1,9 +1,9 @@
-"""Kernel alignment, its gradient, and the ridge classifier on Gram matrices.
+"""Kernel alignment and the ridge classifier on Gram matrices.
 
 Training maximizes the alignment between the measured Gram matrix and the
-label outer product y yT; classification solves the regularized dual system
-(K + lambda I) alpha = y and takes the sign of kernel-weighted sums. Scoring
-may estimate each kernel value from finite shots; training never does.
+label outer product y yT, by ``engine.multi_alignment_grads``; the ridge
+classifier solves (K + lambda I) alpha = y and takes the sign of
+kernel-weighted sums. Scoring may estimate each kernel value from shots.
 """
 
 from __future__ import annotations
@@ -50,42 +50,6 @@ def alignment(k: np.ndarray, labels) -> float:
         return engine._alignment_weights(k, y)[0]
     except ValueError as exc:
         raise LearnError(str(exc)) from None
-
-
-def loss(dataset: LabeledDataset, theta, spec: FeatureMapSpec,
-         noise: NoiseModel) -> float:
-    k = engine.gram_matrix(spec, theta, dataset.x, noise)
-    return -alignment(k, dataset.y)
-
-
-def loss_grad(dataset: LabeledDataset, theta, spec: FeatureMapSpec,
-              noise: NoiseModel) -> tuple[float, np.ndarray]:
-    """Loss and its gradient, from exact expectations."""
-    values, grads = engine.multi_alignment_grads(
-        spec, [theta], [dataset.x], [dataset.y], noise)
-    return -values[0], -grads[0]
-
-
-def noisy_alignment_grad_analytic(k: np.ndarray, dk: np.ndarray, p: float,
-                                  dim: int, labels) -> float:
-    """Depolarizing-shifted alignment gradient for one parameter.
-
-    Takes the noiseless Gram and its entrywise derivative; evaluates the
-    closed form in which each denominator kernel entry is shifted by
-    p/((1-p) dim). Valid for balanced labels, where the shift cancels from
-    the numerator inner product.
-    """
-    y = np.asarray(labels, dtype=float)
-    if len(y) % 2 != 0 or int(np.sum(y)) != 0:
-        raise LearnError("analytic form assumes balanced labels")
-    if not 0.0 <= p < 1.0:
-        raise LearnError("p must lie in [0, 1)")
-    n = len(y)
-    shifted = k + p / ((1.0 - p) * dim)
-    s = float(np.sum(shifted * shifted))
-    num_d = float(y @ dk @ y)
-    num = float(y @ k @ y)
-    return num_d / (n * np.sqrt(s)) - num * float(np.sum(shifted * dk)) / (n * s ** 1.5)
 
 
 def fit_ridge(k: np.ndarray, labels, lam: float = 0.1) -> np.ndarray:

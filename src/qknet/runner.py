@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -163,6 +164,31 @@ def _modal_noise(nodes) -> NoiseModel:
     return max(honest, key=honest.count)
 
 
+def _check_memory(config: ExperimentConfig, nodes, n_points: int) -> None:
+    """Refuse a run whose largest arrays outgrow physical memory.
+
+    They are the (nodes, T) parameters, the training tape of the largest
+    noise group (one 8 * 4**n byte state per layer and subsampled row), and
+    the states of every point and their Gram, which evaluation builds at once.
+    """
+    rows: dict[NoiseModel, int] = {}
+    for node in nodes:
+        if node.role == dnet.HONEST:
+            rows[node.noise] = (rows.get(node.noise, 0)
+                                + min(node.subsample, len(node.train_rows)))
+    n, layers = config.circuit_n_qubits, config.circuit_layers
+    state = 8 * 4**n
+    size = (8 * len(nodes) * n * layers
+            + state * layers * max(rows.values(), default=0)
+            + (state + 8 * n_points) * n_points)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > physical:
+        raise RunError(
+            f"circuit.n_qubits = {n} and circuit.layers = {layers} on"
+            f" {n_points} points need {size} bytes of parameters, states and"
+            f" Gram, more than the {physical} bytes of physical memory")
+
+
 def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     """Distribute data and freeze per-node settings for one run.
 
@@ -222,6 +248,7 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         ))
         n_train += len(tr)
         n_test += len(te)
+    _check_memory(config, nodes, n_train + n_test)
 
     weights = np.eye(n_nodes)  # local and centralized nodes never mix
     if mode == "decentralized":
@@ -424,13 +451,14 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
             f"run.budget = {cfg.run_budget} exceeds the {prepared}"
             " rounds of subsamples the problem was prepared with")
     thetas = _init_thetas(problem)
-    rounds = []  # (per-node metrics, consensus distance) of each round
+    honest = problem.honest_ids
+    rounds = []  # (per-node metrics, honest consensus distance) of each round
     evals: list[EvalPoint] = []
     for rnd in range(cfg.run_budget):
         halves, metrics = _half_steps(problem, thetas, rnd)
         thetas = _exchange(problem, halves, rnd)
-        consensus = (dnet.consensus_distance(thetas)
-                     if len(problem.nodes) >= 2 else 0.0)
+        consensus = (dnet.consensus_distance(thetas[honest])
+                     if len(honest) >= 2 else 0.0)
         rounds.append((metrics, consensus))
         gnorms = [m[2] for m in metrics if m is not None]
         done = (rnd == cfg.run_budget - 1

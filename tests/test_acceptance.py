@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from qknet import data, dnet, engine, learn, qkernel, qsim, runner
 from qknet.config import ExperimentConfig
@@ -228,14 +229,18 @@ def test_criterion_03_gradients():
     theta = rng.uniform(-np.pi, np.pi, n_params)
     worst_loss = 0.0
     for noise in models:
-        _, grad = learn.loss_grad(dataset, theta, spec, noise)
+        _, (grad,) = engine.multi_alignment_grads(
+            spec, [theta], [dataset.x], [dataset.y], noise)
         for t in range(n_params):
             plus = theta.copy()
             plus[t] += h
             minus = theta.copy()
             minus[t] -= h
-            fd_t = (learn.loss(dataset, plus, spec, noise)
-                    - learn.loss(dataset, minus, spec, noise)) / (2.0 * h)
+            a_plus, a_minus = (
+                learn.alignment(engine.gram_matrix(spec, th, dataset.x, noise),
+                                dataset.y)
+                for th in (plus, minus))
+            fd_t = (a_plus - a_minus) / (2.0 * h)
             worst_loss = max(worst_loss, abs(grad[t] - fd_t))
 
     elapsed = time.perf_counter() - t0
@@ -246,20 +251,46 @@ def test_criterion_03_gradients():
     assert ok, line
 
 
+def noisy_alignment_grad_analytic(k: np.ndarray, dk: np.ndarray, p: float,
+                                  dim: int, labels) -> float:
+    """Depolarizing-shifted alignment gradient for one parameter.
+
+    Takes the noiseless Gram and its entrywise derivative; evaluates the
+    closed form in which each denominator kernel entry is shifted by
+    p/((1-p) dim). Valid for balanced labels, where the shift cancels from
+    the numerator inner product.
+    """
+    y = np.asarray(labels, dtype=float)
+    if len(y) % 2 != 0 or int(np.sum(y)) != 0:
+        raise learn.LearnError("analytic form assumes balanced labels")
+    if not 0.0 <= p < 1.0:
+        raise learn.LearnError("p must lie in [0, 1)")
+    n = len(y)
+    shifted = k + p / ((1.0 - p) * dim)
+    s = float(np.sum(shifted * shifted))
+    num_d = float(y @ dk @ y)
+    num = float(y @ k @ y)
+    return num_d / (n * np.sqrt(s)) - num * float(np.sum(shifted * dk)) / (n * s ** 1.5)
+
+
+def _random_gram_and_direction(rng, n):
+    """A unit-diagonal PSD Gram and a symmetric direction to move it along."""
+    a = rng.normal(size=(n, n))
+    s = a @ a.T
+    d = np.sqrt(np.diag(s))
+    b = rng.normal(size=(n, n))
+    return s / np.outer(d, d), 0.5 * (b + b.T)
+
+
 def test_criterion_04_noise_flattens_gradients():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     n, dim = 8, 4
-    a = rng.normal(size=(n, n))
-    s = a @ a.T
-    d = np.sqrt(np.diag(s))
-    k = s / np.outer(d, d)
-    b = rng.normal(size=(n, n))
-    dk = 0.5 * (b + b.T)
+    k, dk = _random_gram_and_direction(rng, n)
     y = np.array([1.0, -1.0] * 4)
 
     ps = (0.0, 0.5, 0.9, 0.99, 0.999)
-    mags = [abs(learn.noisy_alignment_grad_analytic(k, dk, p, dim, y))
+    mags = [abs(noisy_alignment_grad_analytic(k, dk, p, dim, y))
             for p in ps]
     decreasing = all(mags[i + 1] < mags[i] for i in range(len(mags) - 1))
     ratio = mags[-1] / mags[0]
@@ -270,6 +301,43 @@ def test_criterion_04_noise_flattens_gradients():
                   f"mags={['%.2e' % m for m in mags]} ratio={ratio:.2e} "
                   f"t={elapsed:.1f}s")
     assert ok, line
+
+
+def test_analytic_noisy_grad_matches_matrix_finite_difference():
+    # move K along a fixed direction and differentiate the alignment of the
+    # depolarizing-mixed matrix (1-p) K + (p/D) * ones
+    rng = np.random.default_rng(31)
+    n, dim = 6, 32
+    k, dk = _random_gram_and_direction(rng, n)
+    y = np.array([1, -1] * (n // 2))[rng.permutation(n)]
+    ones = np.ones((n, n))
+    h = 1e-7
+    for p in (0.0, 0.3, 0.9):
+        got = noisy_alignment_grad_analytic(k, dk, p, dim, y)
+        ap = learn.alignment((1 - p) * (k + h * dk) + (p / dim) * ones, y)
+        am = learn.alignment((1 - p) * (k - h * dk) + (p / dim) * ones, y)
+        assert abs(got - (ap - am) / (2 * h)) < 1e-6
+
+
+def test_analytic_noisy_grad_shrinks_with_noise():
+    rng = np.random.default_rng(37)
+    n, dim = 8, 32
+    k, dk = _random_gram_and_direction(rng, n)
+    y = np.array([1, -1] * (n // 2))[rng.permutation(n)]
+    mags = [abs(noisy_alignment_grad_analytic(k, dk, p, dim, y))
+            for p in (0.0, 0.5, 0.9, 0.99)]
+    assert all(a > b for a, b in zip(mags, mags[1:]))
+
+
+def test_analytic_noisy_grad_validates_inputs():
+    k = np.eye(4)
+    dk = np.eye(4)
+    with pytest.raises(learn.LearnError):
+        noisy_alignment_grad_analytic(k, dk, 0.1, 16, [1, 1, -1])
+    with pytest.raises(learn.LearnError):
+        noisy_alignment_grad_analytic(k, dk, 0.1, 16, [1, 1, 1, -1])
+    with pytest.raises(learn.LearnError):
+        noisy_alignment_grad_analytic(k, dk, 1.0, 16, [1, 1, -1, -1])
 
 
 def _consensus_run(topology: str, n_nodes: int, strategy: str):

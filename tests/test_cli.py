@@ -128,10 +128,19 @@ def _assert_one_error_line(code, capsys, message):
          "network.topology = ring with network.n_nodes = 2"),
         ("run.budget = 100000000000000\n", "bad.cfg", [],
          "run.budget = 100000000000000 is too large"),
+        (SMALL_CONFIG + "eval.shots = 10000000000000000000\n", "bad.cfg", [],
+         "eval.shots must be 0 (exact) or a positive count below 2**63"),
+        (SMALL_CONFIG.replace("data.points_per_cell = 2",
+                              "data.points_per_cell = 1000000000000000"),
+         "bad.cfg", [], "points_per_cell = 1000000000000000 is too large"),
+        (SMALL_CONFIG.replace("circuit.layers = 2",
+                              "circuit.layers = 100000000000000"),
+         "bad.cfg", [], "circuit.layers = 100000000000000 on 32 points need"),
     ],
     ids=["bad_key", "bad_network_shape", "missing_config", "config_is_a_dir",
          "missing_csv", "negative_config_seed", "negative_seed_flag",
-         "tiny_test_fraction", "two_node_ring", "huge_budget"],
+         "tiny_test_fraction", "two_node_ring", "huge_budget", "huge_shots",
+         "huge_points_per_cell", "huge_circuit"],
 )
 def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, text,
                                                     config, flags, message):
@@ -178,6 +187,10 @@ def test_gen_data_reports_bad_input_as_one_error_line(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "qknet: error: seed must be non-negative\n")
+    code = cli.main(["gen-data", "--points-per-cell", "1000000000000000",
+                     "--out", str(tmp_path)])
+    _assert_one_error_line(code, capsys,
+                           "points_per_cell = 1000000000000000 is too large")
     assert not (tmp_path / "checkerboard.csv").exists()
 
 

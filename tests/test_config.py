@@ -124,6 +124,9 @@ def test_validation_catches_bad_fields():
         ("data.sigma = inf", "data.sigma"),
         ("ridge.lam = inf", "ridge.lam"),
         ("run.seed = -1", "run.seed"),
+        ("eval.shots = 10000000000000000000", "eval.shots"),
+        ("eval.shots = 9223372036854775808", "eval.shots"),
+        ("eval.shots = 9223372036854775807", None),
     ],
 )
 def test_out_of_range_values_fail_at_parse_time_naming_the_key(line, key):

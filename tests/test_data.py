@@ -38,6 +38,14 @@ def test_checkerboard_spec_validation():
     assert len(ds) == 32 and np.all((ds.x >= 0.0) & (ds.x <= 1.0))
 
 
+def test_checkerboard_too_large_to_allocate_names_points_per_cell():
+    # 16 x 10**15 points of 24 bytes: past any address space, so the first
+    # allocation fails without touching memory
+    with pytest.raises(DataError, match=r"points_per_cell = 1000000000000000 "
+                       r"is too large: .* 384000000000000000 bytes"):
+        data.gen_checkerboard(points_per_cell=10**15)
+
+
 def test_cell_geometry():
     assert np.allclose(data.cell_center(0, 0), [0.125, 0.125])
     assert np.allclose(data.cell_center(3, 2), [0.875, 0.625])

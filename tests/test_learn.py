@@ -1,4 +1,4 @@
-"""Alignment, its gradients, and the ridge classifier on Gram matrices."""
+"""Alignment, shot sampling, and the ridge classifier on Gram matrices."""
 
 import numpy as np
 import pytest
@@ -116,76 +116,6 @@ def test_gram_with_shots_is_symmetric_on_grid():
     k = learn._shot_sampled_symmetric(k_exact, 32, np.random.default_rng(0))
     assert np.max(np.abs(k - k.T)) == 0.0
     assert np.all(np.abs(k * 32 - np.round(k * 32)) < 1e-9)
-
-
-def test_loss_is_negative_alignment():
-    rng = np.random.default_rng(19)
-    spec = FeatureMapSpec(n_qubits=2, layers=2)
-    ds = small_dataset(rng, 4)
-    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    k = engine.gram_matrix(spec, theta, ds.x, NoiseModel())
-    assert abs(learn.loss(ds, theta, spec, NoiseModel()) + learn.alignment(k, ds.y)) < 1e-14
-
-
-def test_loss_grad_matches_finite_difference():
-    rng = np.random.default_rng(23)
-    h = 1e-6
-    for noise in (NoiseModel(), NoiseModel(mode="per_gate", p=0.005)):
-        spec = FeatureMapSpec(n_qubits=2, layers=2)
-        ds = small_dataset(rng, 4)
-        theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-        val, grad = learn.loss_grad(ds, theta, spec, noise)
-        assert abs(val - learn.loss(ds, theta, spec, noise)) < 1e-12
-        for t in range(spec.n_params):
-            up = theta.copy()
-            up[t] += h
-            dn = theta.copy()
-            dn[t] -= h
-            fd = (learn.loss(ds, up, spec, noise) - learn.loss(ds, dn, spec, noise)) / (2 * h)
-            assert abs(grad[t] - fd) < 1e-6
-
-
-def test_analytic_noisy_grad_matches_matrix_finite_difference():
-    # move K along a fixed direction and differentiate the alignment of the
-    # depolarizing-mixed matrix (1-p) K + (p/D) * ones
-    rng = np.random.default_rng(31)
-    n, dim = 6, 32
-    k = random_psd_gram(rng, n)
-    dk = rng.normal(size=(n, n))
-    dk = 0.5 * (dk + dk.T)
-    y = balanced_labels(rng, n)
-    ones = np.ones((n, n))
-    h = 1e-7
-    for p in (0.0, 0.3, 0.9):
-        got = learn.noisy_alignment_grad_analytic(k, dk, p, dim, y)
-        ap = learn.alignment((1 - p) * (k + h * dk) + (p / dim) * ones, y)
-        am = learn.alignment((1 - p) * (k - h * dk) + (p / dim) * ones, y)
-        assert abs(got - (ap - am) / (2 * h)) < 1e-6
-
-
-def test_analytic_noisy_grad_shrinks_with_noise():
-    rng = np.random.default_rng(37)
-    n, dim = 8, 32
-    k = random_psd_gram(rng, n)
-    dk = rng.normal(size=(n, n))
-    dk = 0.5 * (dk + dk.T)
-    y = balanced_labels(rng, n)
-    mags = [
-        abs(learn.noisy_alignment_grad_analytic(k, dk, p, dim, y))
-        for p in (0.0, 0.5, 0.9, 0.99)
-    ]
-    assert all(a > b for a, b in zip(mags, mags[1:]))
-
-
-def test_analytic_noisy_grad_validates_inputs():
-    k = np.eye(4)
-    dk = np.eye(4)
-    with pytest.raises(learn.LearnError):
-        learn.noisy_alignment_grad_analytic(k, dk, 0.1, 16, [1, 1, -1])
-    with pytest.raises(learn.LearnError):
-        learn.noisy_alignment_grad_analytic(k, dk, 0.1, 16, [1, 1, 1, -1])
-    with pytest.raises(learn.LearnError):
-        learn.noisy_alignment_grad_analytic(k, dk, 1.0, 16, [1, 1, -1, -1])
 
 
 def test_fit_ridge_solves_regularized_system():

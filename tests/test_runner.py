@@ -149,6 +149,24 @@ def test_gossip_shrinks_consensus_distance():
     assert last < first
 
 
+@pytest.mark.parametrize("roles, want_zero", [
+    (("honest", "gaussian_attacker", "honest", "honest"), False),
+    (("honest",) + ("gaussian_attacker",) * 3, True),
+])
+def test_consensus_distance_is_taken_over_the_honest_nodes(roles, want_zero):
+    # an attacker's row holds the vector it crafted, not a model to agree on
+    problem = runner.prepare_problem(tiny_config(nodes_roles=roles),
+                                     "decentralized")
+    result = runner.run_problem(problem, "decentralized")
+    if want_zero:
+        assert {rec.consensus_dist for rec in result.records} == {0.0}
+        return
+    last = {rec.consensus_dist for rec in result.records
+            if rec.round == result.final_round}
+    assert last == {dnet.consensus_distance(result.thetas[problem.honest_ids])}
+    assert last != {dnet.consensus_distance(result.thetas)}
+
+
 def test_local_mode_never_mixes():
     cfg = tiny_config(run_budget=5, init_scale=0.5)
     result = runner.run(cfg, "local")
@@ -356,6 +374,21 @@ def test_a_budget_too_large_to_schedule_names_run_budget():
     with pytest.raises(runner.RunError, match=r"run.budget = 100000000000000 "
                        r".* 12800000000000000 bytes"):
         runner.prepare_problem(tiny_config(run_budget=10**14), "decentralized")
+
+
+def test_a_run_too_large_for_the_host_names_its_size():
+    # each size is past what any host holds; the check is arithmetic and
+    # allocates nothing. The parameters alone are 8 bytes x 4 nodes x 2 x
+    # 10**14 layers = 6.4e15 bytes
+    with pytest.raises(runner.RunError, match=r"circuit.n_qubits = 2 and "
+                       r"circuit.layers = 100000000000000 on 32 points need"):
+        runner.prepare_problem(tiny_config(circuit_layers=10**14),
+                               "decentralized")
+    # the evaluation Gram of 10**7 points is 8e14 bytes
+    problem = runner.prepare_problem(tiny_config(), "decentralized")
+    with pytest.raises(runner.RunError, match=r"on 10000000 points need "
+                       r"8000\d{11} bytes"):
+        runner._check_memory(problem.config, problem.nodes, 10**7)
 
 
 def test_run_reads_the_prepared_schedule_up_to_its_budget():
