@@ -175,12 +175,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 overrides[name] = _parse_scalar(value, type(default))
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    try:
-        return replace(proto, **overrides)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return replace(proto, **overrides)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -12,7 +12,7 @@ can drag the receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,65 +27,55 @@ SIGNFLIP_ATTACKER = "signflip_attacker"
 ROLES = (HONEST, GAUSSIAN_ATTACKER, SIGNFLIP_ATTACKER)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Undirected graph without self-loops. Connectivity is checked on its
-    mixing weights: `check_weight_matrix` rejects those of a disconnected
-    graph, whose deflated spectral radius is 1."""
+    """Undirected graph without self-loops, as a read-only boolean adjacency
+    matrix. Connectivity is checked on its mixing weights:
+    `check_weight_matrix` rejects those of a disconnected graph, whose
+    deflated spectral radius is 1."""
 
-    n_nodes: int
-    edges: frozenset
-    _adjacency: tuple = field(init=False, repr=False, compare=False)
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise NetError("need at least one node")
-        edges = set()
-        for e in self.edges:
-            a, b = e
-            if a == b:
-                raise NetError("self-loops are not stored")
-            if not (0 <= a < self.n_nodes and 0 <= b < self.n_nodes):
-                raise NetError(f"edge {e} out of range")
-            edges.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "edges", frozenset(edges))
-        adjacency = [[] for _ in range(self.n_nodes)]
-        for a, b in edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        object.__setattr__(self, "_adjacency",
-                           tuple(tuple(sorted(adj)) for adj in adjacency))
+        adjacency = np.array(self.adjacency)
+        if (adjacency.dtype != bool or adjacency.ndim != 2 or not len(adjacency)
+                or adjacency.shape[0] != adjacency.shape[1]):
+            raise NetError("adjacency must be a nonempty square boolean matrix")
+        if adjacency.diagonal().any():
+            raise NetError("self-loops are not stored")
+        if not np.array_equal(adjacency, adjacency.T):
+            raise NetError("adjacency must be symmetric")
+        adjacency.flags.writeable = False
+        object.__setattr__(self, "adjacency", adjacency)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.adjacency)
 
     def neighbors(self, i: int) -> list:
-        return list(self._adjacency[i])
-
-    def degree(self, i: int) -> int:
-        return len(self._adjacency[i])
+        return np.flatnonzero(self.adjacency[i]).tolist()
 
 
 def ring(n_nodes: int) -> Topology:
     if n_nodes < 3:
         raise NetError("a ring needs at least 3 nodes")
-    edges = frozenset((i, (i + 1) % n_nodes) for i in range(n_nodes))
-    return Topology(n_nodes, edges)
+    successor = np.roll(np.eye(n_nodes, dtype=bool), 1, axis=1)
+    return Topology(successor | successor.T)
 
 
 def complete(n_nodes: int) -> Topology:
     # n_nodes = 1 is the degenerate single-vertex graph (no edges)
     if n_nodes < 1:
         raise NetError("a complete graph needs at least 1 node")
-    edges = frozenset((i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes))
-    return Topology(n_nodes, edges)
+    return Topology(~np.eye(n_nodes, dtype=bool))
 
 
 def metropolis_weights(top: Topology) -> np.ndarray:
     """Symmetric doubly stochastic W from node degrees."""
-    n = top.n_nodes
-    w = np.zeros((n, n))
-    for a, b in top.edges:
-        w[a, b] = w[b, a] = 1.0 / (1.0 + max(top.degree(a), top.degree(b)))
-    for i in range(n):
-        w[i, i] = 1.0 - w[i].sum()
+    degree = top.adjacency.sum(axis=1)
+    w = np.where(top.adjacency,
+                 1.0 / (1.0 + np.maximum.outer(degree, degree)), 0.0)
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
 

@@ -70,6 +70,12 @@ class NodeSetup:
     train_rows: range
     test_rows: range
 
+    @property
+    def batch(self) -> int:
+        """Rows of each round's subsample; a subsample size at or above the
+        local set means a full batch."""
+        return min(self.subsample, len(self.train_rows))
+
 
 class ScoreReport(NamedTuple):
     node: int
@@ -156,37 +162,46 @@ def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
                             derived_seed(config.run_seed, TAG_DATA, 0, 0))
 
 
-def _modal_noise(nodes) -> NoiseModel:
-    """Most common honest noise model; earliest node breaks ties."""
-    honest = [n.noise for n in nodes if n.role == dnet.HONEST]
-    if not honest:
-        raise RunError("nodes.roles has no honest node to evaluate")
-    return max(honest, key=honest.count)
+def _noise_groups(nodes) -> dict[NoiseModel, list[NodeSetup]]:
+    """The honest nodes by noise model, in order of first appearance; each
+    group shares one engine call."""
+    groups: dict[NoiseModel, list[NodeSetup]] = {}
+    for node in nodes:
+        if node.role == dnet.HONEST:
+            groups.setdefault(node.noise, []).append(node)
+    return groups
+
+
+def _schedule_bytes(nodes, rounds: int) -> int:
+    """Bytes of the subsample schedule, which is allocated up front."""
+    return np.dtype(np.intp).itemsize * rounds * sum(
+        node.batch for node in nodes if node.role == dnet.HONEST)
 
 
 def _check_memory(config: ExperimentConfig, nodes, n_points: int) -> None:
     """Refuse a run whose largest arrays outgrow physical memory.
 
     They are the (nodes, T) parameters, the training tape of the largest
-    noise group (one 8 * 4**n byte state per layer and subsampled row), and
-    the states of every point and their Gram, which evaluation builds at once.
+    noise group (one 8 * 4**n byte state per layer and subsampled row), the
+    states of every point and their Gram, which evaluation builds at once,
+    and the subsample schedule of every round.
     """
-    rows: dict[NoiseModel, int] = {}
-    for node in nodes:
-        if node.role == dnet.HONEST:
-            rows[node.noise] = (rows.get(node.noise, 0)
-                                + min(node.subsample, len(node.train_rows)))
+    batches = [sum(node.batch for node in group)
+               for group in _noise_groups(nodes).values()]
     n, layers = config.circuit_n_qubits, config.circuit_layers
     state = 8 * 4**n
-    size = (8 * len(nodes) * n * layers
-            + state * layers * max(rows.values(), default=0)
-            + (state + 8 * n_points) * n_points)
+    arrays = (8 * len(nodes) * n * layers
+              + state * layers * max(batches, default=0)
+              + (state + 8 * n_points) * n_points)
+    schedule = _schedule_bytes(nodes, config.run_budget)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if size > physical:
+    if arrays + schedule > physical:
         raise RunError(
             f"circuit.n_qubits = {n} and circuit.layers = {layers} on"
-            f" {n_points} points need {size} bytes of parameters, states and"
-            f" Gram, more than the {physical} bytes of physical memory")
+            f" {n_points} points need {arrays} bytes of parameters, states and"
+            f" Gram, and run.budget = {config.run_budget} needs {schedule}"
+            f" bytes of subsample schedule, more than the {physical} bytes of"
+            f" physical memory")
 
 
 def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
@@ -248,6 +263,9 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         ))
         n_train += len(tr)
         n_test += len(te)
+    groups = _noise_groups(nodes)
+    if not groups:
+        raise RunError("nodes.roles has no honest node to evaluate")
     _check_memory(config, nodes, n_train + n_test)
 
     weights = np.eye(n_nodes)  # local and centralized nodes never mix
@@ -264,19 +282,19 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     try:
         schedule = _subsample_schedule(nodes, master, config.run_budget)
     except MemoryError:
-        rows = sum(min(node.subsample, len(node.train_rows))
-                   for node in nodes if node.role == dnet.HONEST)
-        size = np.dtype(np.intp).itemsize * config.run_budget * rows
         raise RunError(
             f"run.budget = {config.run_budget} is too large: its subsample"
-            f" schedule asks for {size} bytes, allocated up front") from None
+            f" schedule asks for {_schedule_bytes(nodes, config.run_budget)}"
+            f" bytes, allocated up front") from None
     return Problem(
         mode=mode, config=config,
         spec=FeatureMapSpec(config.circuit_n_qubits, config.circuit_layers),
         nodes=tuple(nodes),
         global_train=dataset.subset(np.concatenate(train_idx)),
         global_test=dataset.subset(np.concatenate(test_idx)),
-        weights=weights, eval_noise=_modal_noise(nodes), schedule=schedule,
+        weights=weights, schedule=schedule,
+        # the largest group's; on a tie, the one that appears first
+        eval_noise=max(groups, key=lambda noise: len(groups[noise])),
     )
 
 
@@ -296,11 +314,10 @@ def _subsample_schedule(nodes, seed: int,
                         rounds: int) -> tuple[np.ndarray | None, ...]:
     """Every round's subsample rows of ``global_train``, one array per node.
 
-    An honest node's entry is (rounds, q) with q its subsample size; other
+    An honest node's entry is (rounds, q) with q its ``batch``; other
     nodes get None. Each (node, round) draws from its own TAG_SUBSAMPLE
     stream, so drawing the whole schedule up front gives the same rows as
-    drawing round by round. A subsample size at or above the local set
-    means a full batch.
+    drawing round by round.
     """
     schedule = []
     for node in nodes:
@@ -308,7 +325,7 @@ def _subsample_schedule(nodes, seed: int,
             schedule.append(None)
             continue
         rows = node.train_rows
-        idx = np.empty((rounds, min(node.subsample, len(rows))), dtype=np.intp)
+        idx = np.empty((rounds, node.batch), dtype=np.intp)
         for rnd in range(rounds):
             idx[rnd] = derived_rng(seed, TAG_SUBSAMPLE, node.node_id, rnd).choice(
                 len(rows), size=idx.shape[1], replace=False)
@@ -323,14 +340,10 @@ def _half_steps(problem: Problem, thetas: np.ndarray, rnd: int):
     share one batched simulation of their round-``rnd`` subsamples. Rows of
     nodes that are not honest keep their stored parameters.
     """
-    groups: dict[NoiseModel, list[NodeSetup]] = {}
-    for node in problem.nodes:
-        if node.role == dnet.HONEST:
-            groups.setdefault(node.noise, []).append(node)
     train = problem.global_train
     halves = thetas.copy()
     metrics: list[tuple[float, float, float] | None] = [None] * len(problem.nodes)
-    for noise, nodes in groups.items():
+    for noise, nodes in _noise_groups(problem.nodes).items():
         ids = [n.node_id for n in nodes]
         rows = [problem.schedule[i][rnd] for i in ids]
         values, grads = engine.multi_alignment_grads(

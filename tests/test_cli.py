@@ -127,7 +127,7 @@ def _assert_one_error_line(code, capsys, message):
         ("network.n_nodes = 2\n", "bad.cfg", [],
          "network.topology = ring with network.n_nodes = 2"),
         ("run.budget = 100000000000000\n", "bad.cfg", [],
-         "run.budget = 100000000000000 is too large"),
+         "run.budget = 100000000000000 needs"),
         (SMALL_CONFIG + "eval.shots = 10000000000000000000\n", "bad.cfg", [],
          "eval.shots must be 0 (exact) or a positive count below 2**63"),
         (SMALL_CONFIG.replace("data.points_per_cell = 2",

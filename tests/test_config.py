@@ -1,5 +1,6 @@
 """Config text format: parsing, validation, per-node broadcasting."""
 
+import itertools
 import re
 
 import pytest
@@ -135,6 +136,34 @@ def test_out_of_range_values_fail_at_parse_time_naming_the_key(line, key):
         return
     with pytest.raises(ConfigError, match=re.escape(key)):
         config.parse_config(line)
+
+
+MALFORMED = ["", ",", "1,", ",1", "1,,1", "nan", "-nan", "inf", "-inf",
+             "1e400", "-1e400", "0x10", "0b1", "2**63", str(2**63),
+             str(-2**63 - 1), "1" * 5000, "1_000", "1e3", "-1", "0", "-0.0",
+             "0.5", "true", "maybe", "honest, honest", "ring", "csv", "\u00e9",
+             "= 1"]
+
+
+def test_every_bad_value_or_conflict_raises_only_config_error():
+    # the CLI reports a ConfigError as one error line; any other exception
+    # escaping parse_config would end in a traceback
+    keys = list(config._FIELD_OF)
+    texts = [f"{key} = {value}" for key in keys for value in MALFORMED]
+    texts += [f"{a} = {value}\n{b} = {value}"
+              for a, b in itertools.combinations(keys, 2)
+              for value in ("0", "2", "-1")]
+    texts += ["network.n_nodes = 3\nnodes.roles = honest, honest",
+              "network.n_nodes = 2\nnodes.eta = 0.1, 0.2, 0.3",
+              "nodes.noise_mode = exact\nnodes.noise_p = 0.1",
+              "data.source = csv\ndata.csv_path = "]
+    rejected = 0
+    for text in texts:
+        try:
+            config.parse_config(text)
+        except ConfigError:
+            rejected += 1
+    assert 0 < rejected < len(texts)
 
 
 def test_per_node_lengths_must_broadcast():

@@ -6,22 +6,37 @@ import pytest
 from qknet import dnet
 
 
-def test_topology_normalizes_and_validates_edges():
-    top = dnet.Topology(3, frozenset({(1, 0), (2, 1)}))
-    assert (0, 1) in top.edges and (1, 2) in top.edges
-    with pytest.raises(dnet.NetError):
-        dnet.Topology(3, frozenset({(0, 0), (0, 1)}))
-    with pytest.raises(dnet.NetError):
-        dnet.Topology(3, frozenset({(0, 3)}))
-    with pytest.raises(dnet.NetError):
-        dnet.Topology(0, frozenset())
+def _adjacency(n, edges):
+    adjacency = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        adjacency[a, b] = adjacency[b, a] = True
+    return adjacency
+
+
+def test_topology_validates_its_adjacency():
+    path = _adjacency(3, [(1, 0), (2, 1)])
+    top = dnet.Topology(path)
+    assert top.n_nodes == 3
+    assert not top.adjacency.flags.writeable
+    path[0, 2] = path[2, 0] = True  # the topology holds its own copy
+    assert top.neighbors(0) == [1]
+    with pytest.raises(dnet.NetError, match="self-loops"):
+        dnet.Topology(_adjacency(3, [(0, 0), (0, 1)]))
+    asymmetric = np.zeros((3, 3), dtype=bool)
+    asymmetric[0, 1] = True
+    with pytest.raises(dnet.NetError, match="symmetric"):
+        dnet.Topology(asymmetric)
+    for bad in (np.zeros((0, 0), dtype=bool), np.zeros((2, 3), dtype=bool),
+                np.zeros(3, dtype=bool), np.zeros((3, 3))):
+        with pytest.raises(dnet.NetError, match="nonempty square boolean"):
+            dnet.Topology(bad)
 
 
 def test_topology_requires_connectivity():
-    split = dnet.metropolis_weights(dnet.Topology(4, frozenset({(0, 1), (2, 3)})))
+    split = dnet.metropolis_weights(dnet.Topology(_adjacency(4, [(0, 1), (2, 3)])))
     with pytest.raises(dnet.NetError, match="deflated spectral radius"):
         dnet.check_weight_matrix(split)
-    path = dnet.Topology(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+    path = dnet.Topology(_adjacency(4, [(0, 1), (1, 2), (2, 3)]))
     dnet.check_weight_matrix(dnet.metropolis_weights(path))
 
 
@@ -29,13 +44,17 @@ def test_neighbors_are_sorted_and_degrees_consistent():
     top = dnet.ring(5)
     assert top.neighbors(0) == [1, 4]
     assert top.neighbors(3) == [2, 4]
-    assert all(top.degree(i) == 2 for i in range(5))
+    assert np.array_equal(top.adjacency.sum(axis=1), [2] * 5)
+    star = dnet.Topology(_adjacency(4, [(2, 0), (2, 3), (2, 1)]))
+    assert star.neighbors(2) == [0, 1, 3]
+    assert np.array_equal(star.adjacency.sum(axis=1), [1, 1, 3, 1])
 
 
 def test_ring_and_complete_shapes():
-    assert len(dnet.ring(4).edges) == 4
-    assert len(dnet.complete(5).edges) == 10
+    assert dnet.ring(4).adjacency.sum() == 2 * 4
+    assert dnet.complete(5).adjacency.sum() == 2 * 10
     assert dnet.complete(1).n_nodes == 1
+    assert not dnet.complete(1).adjacency.any()
     with pytest.raises(dnet.NetError):
         dnet.ring(2)
     with pytest.raises(dnet.NetError):
@@ -56,7 +75,7 @@ def test_metropolis_weights_on_ring_of_four():
     dnet.check_weight_matrix(w)
 
 
-def test_metropolis_weights_are_doubly_stochastic_on_random_graphs():
+def _random_connected_graphs():
     rng = np.random.default_rng(3)
     for _ in range(10):
         n = int(rng.integers(3, 9))
@@ -66,9 +85,30 @@ def test_metropolis_weights_are_doubly_stochastic_on_random_graphs():
             a, b = rng.integers(0, n, size=2)
             if a != b:
                 edges.add((min(a, b), max(a, b)))
-        w = dnet.metropolis_weights(dnet.Topology(n, frozenset(edges)))
+        yield dnet.Topology(_adjacency(n, edges))
+
+
+def test_metropolis_weights_are_doubly_stochastic_on_random_graphs():
+    for top in _random_connected_graphs():
+        w = dnet.metropolis_weights(top)
         dnet.check_weight_matrix(w)
         assert np.max(np.abs(w - w.T)) < 1e-15
+
+
+def test_metropolis_weights_match_a_per_edge_loop_bit_for_bit():
+    tops = ([dnet.ring(n) for n in range(3, 9)]
+            + [dnet.complete(n) for n in range(1, 9)]
+            + list(_random_connected_graphs()))
+    for top in tops:
+        n = top.n_nodes
+        degree = [len(top.neighbors(i)) for i in range(n)]
+        want = np.zeros((n, n))
+        for a in range(n):
+            for b in top.neighbors(a):
+                want[a, b] = 1.0 / (1.0 + max(degree[a], degree[b]))
+        for i in range(n):
+            want[i, i] = 1.0 - want[i].sum()
+        assert dnet.metropolis_weights(top).tobytes() == want.tobytes()
 
 
 def test_check_weight_matrix_flags_violations():

@@ -368,12 +368,18 @@ def test_subsample_schedule_matches_per_round_draws(monkeypatch):
                     assert np.array_equal(y, want_y)
 
 
-def test_a_budget_too_large_to_schedule_names_run_budget():
+def test_a_budget_too_large_to_schedule_names_run_budget(monkeypatch):
     # 8 bytes x 10**14 rounds x 4 rows x 4 honest nodes: past any address
-    # space, so the allocation fails without touching memory
-    with pytest.raises(runner.RunError, match=r"run.budget = 100000000000000 "
-                       r".* 12800000000000000 bytes"):
-        runner.prepare_problem(tiny_config(run_budget=10**14), "decentralized")
+    # space, so the allocation fails without touching memory. The memory
+    # check counts the schedule and refuses it first; without the check,
+    # np.empty refuses it, as it can under an address-space limit
+    for check in (True, False):
+        if not check:
+            monkeypatch.setattr(runner, "_check_memory", lambda *args: None)
+        with pytest.raises(runner.RunError, match=r"run.budget = 100000000000000 "
+                           r".* 12800000000000000 bytes"):
+            runner.prepare_problem(tiny_config(run_budget=10**14),
+                                   "decentralized")
 
 
 def test_a_run_too_large_for_the_host_names_its_size():
@@ -389,6 +395,17 @@ def test_a_run_too_large_for_the_host_names_its_size():
     with pytest.raises(runner.RunError, match=r"on 10000000 points need "
                        r"8000\d{11} bytes"):
         runner._check_memory(problem.config, problem.nodes, 10**7)
+
+
+def test_the_memory_check_counts_the_subsample_schedule():
+    # the other arrays of the tiny run are a few KB; its schedule at 10**14
+    # rounds is 8 bytes x 10**14 x 4 rows x 4 honest nodes. Arithmetic only
+    problem = runner.prepare_problem(tiny_config(), "decentralized")
+    config = replace(problem.config, run_budget=10**14)
+    with pytest.raises(runner.RunError, match=r"run.budget = 100000000000000 "
+                       r"needs 12800000000000000 bytes of subsample schedule"):
+        runner._check_memory(config, problem.nodes, 32)
+    runner._check_memory(problem.config, problem.nodes, 32)
 
 
 def test_run_reads_the_prepared_schedule_up_to_its_budget():
