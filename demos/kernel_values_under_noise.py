@@ -1,4 +1,4 @@
-"""Evaluate the variational quantum kernel under the three noise modes.
+"""Evaluate the variational quantum kernel without noise and under both noise kinds.
 
 Prints a small kernel matrix in exact arithmetic, then shows how per-gate
 depolarizing noise and its global analytic surrogate shrink the entries

@@ -94,9 +94,6 @@ class ExperimentConfig:
         for p in self.nodes_noise_p:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError("nodes.noise_p entries must lie in [0, 1]")
-        if self.nodes_noise_mode == "exact" and any(self.nodes_noise_p):
-            raise ConfigError(
-                "nodes.noise_mode = exact carries no noise; set nodes.noise_p = 0")
         if any(eta < 0.0 for eta in self.nodes_eta):
             raise ConfigError("nodes.eta entries must be non-negative")
         if any(q < 1 for q in self.nodes_subsample):

@@ -56,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_QUBITS = 12
-NOISE_MODES = ("exact", "per_gate", "global")
+NOISE_MODES = ("per_gate", "global")
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,20 @@ class FeatureMapSpec:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """The noise channel of kernel evaluation.
+    """The noise channel of kernel evaluation: a kind and a rate.
 
-    ``mode`` is one of exact / per_gate / global. ``p`` is the per-gate rate
-    p_tilde in per_gate mode and the global mixing rate in global mode.
-    Per-gate channels follow each gate of the compute half and mirror it in
-    the uncompute half, preceding each adjoint gate, so the uncompute half is
-    the exact channel adjoint of the compute half and the kernel is
-    symmetric. Finite shots are not part of the channel; ``learn.score``
-    samples them.
+    ``mode`` is the kind, per_gate or global, and ``p`` its rate; p = 0 is
+    noise-free under either kind. per_gate is local depolarizing at rate
+    p_tilde = p on the wires of every gate. Its channels follow each gate of
+    the compute half and mirror it in the uncompute half, preceding each
+    adjoint gate, so the uncompute half is the exact channel adjoint of the
+    compute half and the kernel is symmetric. global mixes the noise-free
+    kernel value toward 1/D at rate p (`analytic_noisy_kernel`). Only this
+    class reads ``mode``: simulators read ``per_gate_p`` and ``global_p``.
+    Finite shots are not part of the channel; ``learn.score`` samples them.
     """
 
-    mode: str = "exact"
+    mode: str = "per_gate"
     p: float = 0.0
 
     def __post_init__(self):
@@ -106,19 +108,30 @@ class NoiseModel:
             raise ValueError(f"mode must be one of {NOISE_MODES}, got {self.mode!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise rate must be in [0, 1], got {self.p}")
-        if self.mode == "exact" and self.p != 0.0:
-            raise ValueError("exact mode carries no noise rate")
+
+    @property
+    def per_gate_p(self) -> float:
+        """Depolarizing rate after each gate: ``p`` under per_gate, else 0."""
+        return self.p if self.mode == "per_gate" else 0.0
+
+    @property
+    def global_p(self) -> float:
+        """Rate of the global analytic map: ``p`` under global, else 0."""
+        return self.p if self.mode == "global" else 0.0
 
 
 def analytic_noisy_kernel(k_exact, p: float, dim: int):
     """Mix an exact kernel value toward the flat baseline: (1-p) K + p / D.
 
-    The one place the global map is written; elementwise on arrays.
+    The one place the global map is written; elementwise on arrays. At
+    p = 0 it returns ``k_exact`` itself.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if dim < 2:
         raise ValueError("dim must be at least 2")
+    if p == 0.0:
+        return k_exact
     return (1.0 - p) * k_exact + p / dim
 
 _I, _X, _Y, _Z = range(4)  # Pauli letters, as base-4 digits of a string index
@@ -161,15 +174,17 @@ def _cnot_map(control: int, target: int, n: int) -> tuple[np.ndarray, np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _layer_gather(n: int, p_gate: float, p_wall: float):
+def _layer_gather(n: int, p_gate: float):
     """Wall noise, then the CNOT ring with its per-gate noise, as one gather.
 
+    The wall's three channels fuse into one at the rate 1 - (1 - p_gate)^3.
     Returns ``(src, s, inv, s_inv)``: the forward map is c <- s * c[:, src],
     its transpose lam <- s_inv * lam[:, inv]. Cached arrays are read-only.
     """
     strings = np.arange(4**n)
     nontrivial = [(_digit(strings, q, n) != _I).astype(int) for q in range(n)]
     src = strings
+    p_wall = 1.0 - (1.0 - p_gate) ** 3
     s = (1.0 - p_wall) ** np.sum(nontrivial, axis=0)
     for k in range(n if n > 1 else 0):
         qa, qb = k, (k + 1) % n
@@ -193,19 +208,20 @@ def _zero_state(n: int) -> np.ndarray:
 
 
 def _wall_ptms(
-    spec: FeatureMapSpec, theta: np.ndarray, x: np.ndarray, assign
+    spec: FeatureMapSpec, cos_theta: np.ndarray, sin_theta: np.ndarray,
+    x: np.ndarray, assign
 ) -> np.ndarray:
     """(L, B, n, 4, 4) Pauli transfer matrices of every RY(theta) RZ(x_f) H wall.
 
-    ``theta`` is (B, T), one parameter vector per row of ``x``. Rows of each
-    4x4 matrix are the output letters I, X, Y, Z; the identity letter is
-    fixed.
+    ``cos_theta`` and ``sin_theta`` are (B, T), the cosines and sines of one
+    parameter vector per row of ``x``. Rows of each 4x4 matrix are the output
+    letters I, X, Y, Z; the identity letter is fixed.
     """
     layers, n = spec.layers, spec.n_qubits
     z = x[:, list(assign)]
     cz, sz = np.cos(z), np.sin(z)
-    theta = theta.reshape(-1, layers, n).swapaxes(0, 1)
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = (a.reshape(-1, layers, n).swapaxes(0, 1)
+              for a in (cos_theta, sin_theta))
     m = np.zeros((layers,) + z.shape + (4, 4))
     m[..., _I, _I] = 1.0
     m[..., _X, _X] = st
@@ -243,13 +259,6 @@ def _gather(c: np.ndarray, src: np.ndarray, s: np.ndarray, out: np.ndarray) -> N
     np.multiply(out, s, out=out)
 
 
-def _noise_rates(noise: NoiseModel) -> tuple[float, float]:
-    """(per-gate rate, fused wall rate) for the active noise model."""
-    if noise.mode == "per_gate" and noise.p > 0.0:
-        return noise.p, 1.0 - (1.0 - noise.p) ** 3
-    return 0.0, 0.0
-
-
 def _check_theta(spec: FeatureMapSpec, theta: np.ndarray, b: int) -> None:
     if theta.shape != (spec.n_params,) and theta.shape != (b, spec.n_params):
         raise ValueError(
@@ -284,10 +293,12 @@ def feature_states(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     b = x.shape[0]
     _check_theta(spec, theta, b)
-    theta = np.broadcast_to(theta, (b, spec.n_params))
+    # the trig of a shared (T,) theta is taken once, not once per row
+    cos_t, sin_t = (np.broadcast_to(f(theta), (b, spec.n_params))
+                    for f in (np.cos, np.sin))
     n, layers = spec.n_qubits, spec.layers
     assign = spec.feature_assignment(x.shape[1])
-    src, s, _, _ = _layer_gather(n, *_noise_rates(noise))
+    src, s, _, _ = _layer_gather(n, noise.per_gate_p)
 
     zero = _zero_state(n)
     states = np.empty((b, zero.size))
@@ -304,7 +315,7 @@ def feature_states(
     for lo in range(0, b, step):
         hi = min(lo + step, b)
         tmp, buf = scratch[:2, : hi - lo], scratch[2, : hi - lo]
-        mats = _wall_ptms(spec, theta[lo:hi], x[lo:hi], assign)
+        mats = _wall_ptms(spec, cos_t[lo:hi], sin_t[lo:hi], x[lo:hi], assign)
         if record_tape:
             walls[:, lo:hi] = mats
         c = np.broadcast_to(zero, buf.shape)
@@ -344,7 +355,7 @@ def backward(
     sigma, walls = tape
     if len(sigma) != spec.layers or len(walls) != spec.layers:
         raise ValueError("tape does not match the circuit depth")
-    _, _, inv, s_inv = _layer_gather(n, *_noise_rates(noise))
+    _, _, inv, s_inv = _layer_gather(n, noise.per_gate_p)
     lam = np.array(cost_ops, dtype=float, order="C")
     b = lam.shape[0]
     buf = np.empty_like(lam)
@@ -364,22 +375,15 @@ def backward(
     return grad
 
 
-def _affine_global(k: np.ndarray, noise: NoiseModel, dim: int) -> np.ndarray:
-    """The global analytic map in global mode; the other modes keep ``k``."""
-    if noise.mode == "global":
-        return analytic_noisy_kernel(k, noise.p, dim)
-    return k
-
-
 def gram_matrix(spec: FeatureMapSpec, theta, x, noise: NoiseModel) -> np.ndarray:
     """Full Gram matrix, diagonal included, as exact expectation values.
 
-    One forward simulation and the state overlaps serve every noise mode,
+    One forward simulation and the state overlaps serve both noise kinds,
     since per-gate noise is always mirrored in the uncompute half.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     states, _ = feature_states(spec, theta, x, noise)
-    return _affine_global(gram_from_states(states), noise, spec.dim)
+    return analytic_noisy_kernel(gram_from_states(states), noise.global_p, spec.dim)
 
 
 def _alignment_weights(k: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -411,13 +415,13 @@ def multi_alignment_grads(
     x_all = np.vstack([np.atleast_2d(np.asarray(x, float)) for x in xs])
     theta_rows = np.repeat(thetas, counts, axis=0)
     states, tape = feature_states(spec, theta_rows, x_all, noise, record_tape=True)
-    scale = (1.0 - noise.p) if noise.mode == "global" else 1.0
+    scale = 1.0 - noise.global_p
     cost = np.zeros_like(states)
     values = []
     offset = 0
     for c, y in zip(counts, ys):
         block = states[offset : offset + c]
-        k = _affine_global(gram_from_states(block), noise, spec.dim)
+        k = analytic_noisy_kernel(gram_from_states(block), noise.global_p, spec.dim)
         a, w = _alignment_weights(k, np.asarray(y, dtype=float))
         values.append(a)
         cost[offset : offset + c] = (2.0 * scale / spec.dim) * (w @ block)

@@ -5,10 +5,11 @@ applies trainable RY rotations, then entangles with a CNOT ring. The kernel of
 two points is the all-zeros outcome probability of the compute-uncompute
 interference circuit: run the map for x, then the adjoint of the map for x'.
 
-Noise is modeled three ways: exact (none), per-gate local depolarizing at rate
-p_tilde on the wires of every executed gate (after it in the compute half,
-mirrored before it in the uncompute half), or a global analytic map that
-mixes the exact kernel value toward 1/D at a rate p.
+Noise is one of two kinds, each with a rate p, and p = 0 is noise-free under
+either: per-gate local depolarizing at rate p_tilde = p on the wires of every
+executed gate (after it in the compute half, mirrored before it in the
+uncompute half), or a global analytic map that mixes the noise-free kernel
+value toward 1/D at rate p.
 
 This is the gate-by-gate reference that `engine` is tested against. The
 circuit shape, the noise model and the global map are `engine`'s, so both
@@ -63,10 +64,6 @@ def _interference_steps(
     return [(g, False) for g in fwd] + [(g, True) for g in adj]
 
 
-def _gate_noise_rate(noise: NoiseModel) -> float:
-    return noise.p if noise.mode == "per_gate" else 0.0
-
-
 def _depolarize(rho, gate: Gate, p: float):
     for q in gate.qubits:
         rho = qsim.apply_depolarizing_local(rho, q, p)
@@ -89,11 +86,9 @@ def _run_steps(rho, steps, p: float):
 
 
 def _readout(prob: float, spec: FeatureMapSpec, noise: NoiseModel) -> float:
-    """All-zeros probability clamped to [0, 1], then the global map if set."""
+    """All-zeros probability clamped to [0, 1], then the global map."""
     value = min(1.0, max(0.0, float(prob)))
-    if noise.mode == "global":
-        value = analytic_noisy_kernel(value, noise.p, spec.dim)
-    return value
+    return analytic_noisy_kernel(value, noise.global_p, spec.dim)
 
 
 def _interference_value(
@@ -102,7 +97,7 @@ def _interference_value(
     """All-zeros probability of [forward map for x1][adjoint map for x2],
     each half with its own parameters."""
     steps = _interference_steps(spec, theta_fwd, theta_adj, x1, x2)
-    rho = _run_steps(qsim.zero_state(spec.n_qubits), steps, _gate_noise_rate(noise))
+    rho = _run_steps(qsim.zero_state(spec.n_qubits), steps, noise.per_gate_p)
     return _readout(rho[0, 0].real, spec, noise)
 
 
@@ -132,7 +127,7 @@ def parameter_shift_gradient(
     """
     theta = np.asarray(theta, dtype=float)
     steps = _interference_steps(spec, theta, theta, x1, x2)
-    p = _gate_noise_rate(noise)
+    p = noise.per_gate_p
     before, after = {}, {}
     rho = qsim.zero_state(spec.n_qubits)
     for i, step in enumerate(steps):

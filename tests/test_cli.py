@@ -15,6 +15,10 @@ nodes.subsample = 4
 run.budget = 2
 run.eval_every = 2
 """
+# every point has x1 < 0.5, so the region partition leaves two of four
+# nodes without data
+LEFT_HALF_CSV = ("x1,x2,label\n0.1,0.1,1\n0.3,0.1,-1\n0.1,0.6,-1\n"
+                 "0.3,0.6,1\n0.2,0.9,1\n0.4,0.3,-1\n")
 
 
 def test_gen_data_writes_loadable_csv(tmp_path, capsys):
@@ -136,14 +140,19 @@ def _assert_one_error_line(code, capsys, message):
         (SMALL_CONFIG.replace("circuit.layers = 2",
                               "circuit.layers = 100000000000000"),
          "bad.cfg", [], "circuit.layers = 100000000000000 on 32 points need"),
+        (SMALL_CONFIG + "data.source = csv\ndata.csv_path = left.csv\n",
+         "bad.cfg", [], "partition.strategy = region cannot split the data over"
+         " network.n_nodes = 4: a node received no data"),
     ],
     ids=["bad_key", "bad_network_shape", "missing_config", "config_is_a_dir",
          "missing_csv", "negative_config_seed", "negative_seed_flag",
          "tiny_test_fraction", "two_node_ring", "huge_budget", "huge_shots",
-         "huge_points_per_cell", "huge_circuit"],
+         "huge_points_per_cell", "huge_circuit", "node_without_data"],
 )
-def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, text,
-                                                    config, flags, message):
+def test_run_reports_a_bad_config_as_one_error_line(tmp_path, monkeypatch, capsys,
+                                                    text, config, flags, message):
+    monkeypatch.chdir(tmp_path)  # data.csv_path is read from the working directory
+    (tmp_path / "left.csv").write_text(LEFT_HALF_CSV)
     (tmp_path / "bad.cfg").write_text(text)
     out_dir = tmp_path / "results"
     code = cli.main(["run", "--config", str(tmp_path / config),

@@ -112,8 +112,9 @@ def test_validation_catches_bad_fields():
         ("data.sigma = 1e-9", None),
         ("data.sigma = 1", None),
         ("data.sigma = 10000", "data.sigma"),
-        ("nodes.noise_mode = exact", "nodes.noise_p"),
-        ("nodes.noise_mode = exact\nnodes.noise_p = 0", None),
+        ("nodes.noise_mode = exact", "nodes.noise_mode"),
+        ("nodes.noise_p = 0", None),
+        ("nodes.noise_mode = global\nnodes.noise_p = 0", None),
         ("nodes.eta = nan", "nodes.eta"),
         ("nodes.eta = inf", "nodes.eta"),
         ("nodes.eta = 0.2, 0.2, nan, 0.2", "nodes.eta"),

@@ -263,6 +263,10 @@ def test_train_test_split_rounds_halves_up():
         train, test = data.train_test_split(ds, test_fraction=0.25)
         assert int(np.sum(ds.y[test] == 1)) == int(np.sum(ds.y[test] == -1)) == want
         assert len(train) == 2 * (per_label - want)
+    # a label with no points contributes nothing to either side
+    one_label = LabeledDataset(np.zeros((6, 2)), np.ones(6, dtype=int))
+    train, test = data.train_test_split(one_label, test_fraction=0.25)
+    assert (len(train), len(test)) == (4, 2)
 
 
 def test_train_test_split_rejects_empty_side():

@@ -118,6 +118,8 @@ def test_check_weight_matrix_flags_violations():
         dnet.check_weight_matrix(np.array([[1.2, -0.2], [-0.2, 1.2]]))
     with pytest.raises(dnet.NetError):
         dnet.check_weight_matrix(np.array([[0.7, 0.2], [0.2, 0.7]]))
+    with pytest.raises(dnet.NetError, match="columns"):
+        dnet.check_weight_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
     # permutation matrix mixes nothing: deflated radius 1
     with pytest.raises(dnet.NetError):
         dnet.check_weight_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -188,7 +188,8 @@ def test_exact_gram_diagonal_is_one():
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 5])
 def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
-    """Every engine route applies `engine.analytic_noisy_kernel` and no copy."""
+    """Every engine route applies `engine.analytic_noisy_kernel` and no copy,
+    and either kind at rate 0 is the noise-free kernel, bit for bit."""
     rng = np.random.default_rng(73)
     spec = FeatureMapSpec(n_qubits=n_qubits, layers=2)
     exact, noise = NoiseModel(), NoiseModel(mode="global", p=0.3)
@@ -204,6 +205,13 @@ def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
     values, _ = engine.multi_alignment_grads(spec, [theta], [x[:4]], [y], noise)
     k_exact = engine.gram_matrix(spec, theta, x[:4], exact)
     assert values[0] == learn.alignment(mapped(k_exact), y)
+
+    global_zero = NoiseModel(mode="global", p=0.0)
+    assert np.array_equal(engine.gram_matrix(spec, theta, x, global_zero),
+                          engine.gram_matrix(spec, theta, x, exact))
+    a = engine.multi_alignment_grads(spec, [theta], [x[:4]], [y], global_zero)
+    b = engine.multi_alignment_grads(spec, [theta], [x[:4]], [y], exact)
+    assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -314,17 +322,15 @@ PROPERTY_SETTINGS = settings(
 
 @st.composite
 def circuits(draw):
-    """(spec, noise, rng) over n <= 4 wires, <= 3 layers and every noise mode."""
+    """(spec, noise, rng) over n <= 4 wires, <= 3 layers and both noise kinds,
+    each noise-free (p = 0) in some cases."""
     spec = FeatureMapSpec(
         n_qubits=draw(st.integers(1, 4)), layers=draw(st.integers(1, 3))
     )
     mode = draw(st.sampled_from(engine.NOISE_MODES))
-    if mode == "exact":
-        noise = NoiseModel()
-    elif mode == "per_gate":
-        noise = NoiseModel(mode=mode, p=draw(st.floats(0.0, 0.2)))
-    else:
-        noise = NoiseModel(mode=mode, p=draw(st.floats(0.0, 1.0)))
+    top = 0.2 if mode == "per_gate" else 1.0
+    p = draw(st.one_of(st.just(0.0), st.floats(0.0, top)))
+    noise = NoiseModel(mode=mode, p=p)
     return spec, noise, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 

@@ -1,6 +1,7 @@
 """No module in src, tests or demos imports a name it never uses, no CLI
-subcommand defines an option that its command function never reads, and only
-the gate-by-gate reference (``qsim`` + ``qkernel``) imports the reference."""
+subcommand defines an option that its command function never reads, only
+the gate-by-gate reference (``qsim`` + ``qkernel``) imports the reference,
+and only ``engine`` reads which kind a noise model is."""
 
 import argparse
 import ast
@@ -85,6 +86,39 @@ def test_only_the_reference_imports_the_reference():
              for path in sorted((ROOT / "src" / "qknet").glob("*.py"))
              if path.stem not in REFERENCE
              for line in reference_imports(path.read_text(encoding="utf-8"))]
+    assert not found, found
+
+
+def noise_mode_reads(source: str) -> list[int]:
+    """Lines that read ``.mode`` of a noise model: of a name or attribute
+    ending in ``noise``, such as ``noise``, ``node.noise`` or ``eval_noise``.
+
+    Run modes (``args.mode``, ``problem.mode``) are not noise models.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "mode"
+                and isinstance(node.ctx, ast.Load)):
+            base = node.value
+            name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+            if name.endswith("noise"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_noise_mode_reads_sees_noise_models_only():
+    source = ("noise.mode\nnode.noise.mode == 'global'\n"
+              "f(problem.eval_noise.mode)\nargs.mode\nproblem.mode\n"
+              "result.mode\nNoiseModel(mode='global')\n")
+    assert noise_mode_reads(source) == [1, 2, 3]
+
+
+def test_only_the_engine_reads_a_noise_models_kind():
+    """`NoiseModel` turns its kind into the rates the simulators read."""
+    found = [f"{path.name} line {line}"
+             for path in sorted((ROOT / "src" / "qknet").glob("*.py"))
+             if path.name != "engine.py"
+             for line in noise_mode_reads(path.read_text(encoding="utf-8"))]
     assert not found, found
 
 

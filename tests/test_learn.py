@@ -229,3 +229,6 @@ def test_score_rejects_empty_sets():
     empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(learn.LearnError):
         learn.score(spec, np.zeros(spec.n_params), ds, empty, NoiseModel())
+    with pytest.raises(learn.LearnError):
+        learn.score(spec, np.zeros(spec.n_params), ds, ds, NoiseModel(),
+                    splits=[([0], [])])

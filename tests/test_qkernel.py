@@ -68,12 +68,12 @@ def test_noise_model_validation():
         NoiseModel(mode="thermal")
     with pytest.raises(ValueError):
         NoiseModel(mode="per_gate", p=1.5)
-    with pytest.raises(ValueError):
-        NoiseModel(mode="exact", p=0.1)
 
 
 def test_analytic_noisy_kernel_mixes_toward_uniform():
     assert qkernel.analytic_noisy_kernel(1.0, 0.0, 32) == 1.0
+    k = np.full((2, 2), 0.5)
+    assert qkernel.analytic_noisy_kernel(k, 0.0, 4) is k
     assert abs(qkernel.analytic_noisy_kernel(1.0, 1.0, 32) - 1 / 32) < 1e-15
     assert abs(qkernel.analytic_noisy_kernel(0.4, 0.5, 4) - (0.2 + 0.125)) < 1e-15
     with pytest.raises(ValueError):

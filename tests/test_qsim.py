@@ -81,6 +81,8 @@ def test_gate_matrices_are_unitary():
     for g in gates:
         m = qsim.gate_matrix(g)
         assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12)
+    with pytest.raises(ValueError, match="unknown gate name 'swap'"):
+        qsim.gate_matrix(qsim.Gate("swap", (0, 1)))
 
 
 def test_rotation_matrices_match_exponentials():
@@ -162,6 +164,9 @@ def test_depolarizing_kraus_rejects_bad_rate():
         qsim.depolarizing_kraus(-0.1)
     with pytest.raises(ValueError):
         qsim.depolarizing_kraus(1.5)
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="depolarizing rate"):
+            qsim.apply_depolarizing_local(qsim.zero_state(1), 0, p)
 
 
 def test_check_kraus_flags_incomplete_set():
@@ -208,6 +213,9 @@ def test_local_depolarizing_affects_only_target_wire():
     red_before = r[0, :, 0, :] + r[1, :, 1, :]
     red_after = o[0, :, 0, :] + o[1, :, 1, :]
     assert np.max(np.abs(red_before - red_after)) < 1e-12
+    # rate 0 touches no wire and returns a copy
+    out = qsim.apply_depolarizing_local(rho, 0, 0.0)
+    assert np.array_equal(out, rho) and not np.shares_memory(out, rho)
 
 
 def test_depolarizing_composition_rate():
