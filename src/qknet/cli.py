@@ -34,8 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
 
     p_gen = sub.add_parser("gen-data", help="write a checkerboard CSV")
-    p_gen.add_argument("--points-per-cell", type=int, default=10)
-    p_gen.add_argument("--sigma", type=float, default=0.04)
+    p_gen.add_argument("--points-per-cell", type=int,
+                       default=ExperimentConfig.data_points_per_cell)
+    p_gen.add_argument("--sigma", type=float, default=ExperimentConfig.data_sigma)
     _add_common(p_gen)
 
     p_rep = sub.add_parser("report", help="print score tables from a run")

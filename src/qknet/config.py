@@ -121,12 +121,11 @@ class ExperimentConfig:
                     f" got {len(values)}"
                 )
 
-    def per_node(self, name: str) -> tuple:
-        """Broadcast a 1-or-N per-node field to exactly N entries."""
+    def per_node(self, name: str, node: int):
+        """Node ``node``'s entry of a per-node field: its single value, or
+        the node's own when the field holds one value per node."""
         values = getattr(self, name)
-        if len(values) == self.network_n_nodes:
-            return values
-        return values * self.network_n_nodes
+        return values[0] if len(values) == 1 else values[node]
 
 
 _KEY_OF = {f.name: f.name.replace("_", ".", 1) for f in fields(ExperimentConfig)}

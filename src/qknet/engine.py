@@ -411,25 +411,21 @@ def multi_alignment_grads(
     (2 / D) sum_j W_bj c_j, since each state enters the Gram bilinearly.
     """
     thetas = np.asarray(thetas, dtype=float)
-    counts = [np.atleast_2d(np.asarray(x, float)).shape[0] for x in xs]
-    x_all = np.vstack([np.atleast_2d(np.asarray(x, float)) for x in xs])
+    xs = [np.atleast_2d(np.asarray(x, float)) for x in xs]
+    counts = [len(x) for x in xs]
+    cuts = np.cumsum(counts)[:-1]  # the row offsets between node blocks
     theta_rows = np.repeat(thetas, counts, axis=0)
-    states, tape = feature_states(spec, theta_rows, x_all, noise, record_tape=True)
+    states, tape = feature_states(spec, theta_rows, np.vstack(xs), noise,
+                                  record_tape=True)
     scale = 1.0 - noise.global_p
+    # filled in place: stacking fresh blocks makes malloc trim the heap per call
     cost = np.zeros_like(states)
     values = []
-    offset = 0
-    for c, y in zip(counts, ys):
-        block = states[offset : offset + c]
+    for block, out, y in zip(np.split(states, cuts), np.split(cost, cuts), ys):
         k = analytic_noisy_kernel(gram_from_states(block), noise.global_p, spec.dim)
         a, w = _alignment_weights(k, np.asarray(y, dtype=float))
         values.append(a)
-        cost[offset : offset + c] = (2.0 * scale / spec.dim) * (w @ block)
-        offset += c
+        out[:] = (2.0 * scale / spec.dim) * (w @ block)
     per_row = backward(spec, noise, tape, cost)
-    grads = np.zeros_like(thetas)
-    offset = 0
-    for i, c in enumerate(counts):
-        grads[i] = per_row[offset : offset + c].sum(axis=0)
-        offset += c
+    grads = np.array([rows.sum(axis=0) for rows in np.split(per_row, cuts)])
     return values, grads

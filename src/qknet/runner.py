@@ -60,21 +60,16 @@ def derived_seed(master: int, tag: int, node: int, rnd: int) -> int:
 @dataclass(frozen=True)
 class NodeSetup:
     """One node's settings; its data are the ``train_rows`` and ``test_rows``
-    of the problem's global sets."""
+    of the problem's global sets. ``batch`` is the rows of each round's
+    subsample: ``nodes.subsample``, or every local training row if fewer."""
 
     node_id: int
     role: str
     noise: NoiseModel
     eta: float
-    subsample: int
+    batch: int
     train_rows: range
     test_rows: range
-
-    @property
-    def batch(self) -> int:
-        """Rows of each round's subsample; a subsample size at or above the
-        local set means a full batch."""
-        return min(self.subsample, len(self.train_rows))
 
 
 class ScoreReport(NamedTuple):
@@ -210,7 +205,9 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     Each node's local split is stratified within its partition block; the
     global train/test sets are the local splits in node order, so no node's
     test point ever appears in any training set and each node's rows are one
-    contiguous block of each global set.
+    contiguous block of each global set. Each node reads its entry of the
+    ``nodes.*`` keys; a centralized run pools every point in one honest node,
+    which reads entry 0, and ignores ``network.n_nodes``.
     """
     if mode not in MODES:
         raise RunError(f"unknown mode {mode!r}")
@@ -229,14 +226,7 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
                 f"partition.strategy = {config.partition_strategy} cannot split"
                 f" the data over network.n_nodes = {n_nodes}: {exc}") from exc
 
-    roles = config.per_node("nodes_roles")
-    noise_ps = config.per_node("nodes_noise_p")
-    etas = config.per_node("nodes_eta")
-    subs = config.per_node("nodes_subsample")
-    if mode == "centralized":
-        roles, noise_ps = (dnet.HONEST,), noise_ps[:1]
-        etas, subs = etas[:1], subs[:1]
-    if mode == "local" and any(r != dnet.HONEST for r in roles):
+    if mode == "local" and any(r != dnet.HONEST for r in config.nodes_roles):
         raise RunError("local mode trains every node; roles must be honest")
 
     nodes = []
@@ -255,9 +245,12 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         train_idx.append(parts[i][tr])
         test_idx.append(parts[i][te])
         nodes.append(NodeSetup(
-            node_id=i, role=roles[i],
-            noise=NoiseModel(mode=config.nodes_noise_mode, p=noise_ps[i]),
-            eta=etas[i], subsample=subs[i],
+            node_id=i, role=(dnet.HONEST if mode == "centralized"
+                             else config.per_node("nodes_roles", i)),
+            noise=NoiseModel(mode=config.nodes_noise_mode,
+                             p=config.per_node("nodes_noise_p", i)),
+            eta=config.per_node("nodes_eta", i),
+            batch=min(config.per_node("nodes_subsample", i), len(tr)),
             train_rows=range(n_train, n_train + len(tr)),
             test_rows=range(n_test, n_test + len(te)),
         ))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qknet import cli, data
+from qknet.config import ExperimentConfig
 
 
 SMALL_CONFIG = """
@@ -30,6 +31,13 @@ def test_gen_data_writes_loadable_csv(tmp_path, capsys):
     ds = data.load_csv(tmp_path / "checkerboard.csv")
     assert len(ds) == 48
     assert "48 points" in capsys.readouterr().out
+
+
+def test_gen_data_defaults_are_the_configs():
+    args = cli.build_parser().parse_args(["gen-data"])
+    defaults = ExperimentConfig()
+    assert (args.points_per_cell, args.sigma) == (
+        defaults.data_points_per_cell, defaults.data_sigma)
 
 
 def test_run_consumes_config_and_writes_outputs(tmp_path, capsys):

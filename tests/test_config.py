@@ -156,7 +156,7 @@ def test_every_bad_value_or_conflict_raises_only_config_error():
               for value in ("0", "2", "-1")]
     texts += ["network.n_nodes = 3\nnodes.roles = honest, honest",
               "network.n_nodes = 2\nnodes.eta = 0.1, 0.2, 0.3",
-              "nodes.noise_mode = exact\nnodes.noise_p = 0.1",
+              "network.n_nodes = 3\nnodes.noise_p = 0.1, 0.2",
               "data.source = csv\ndata.csv_path = "]
     rejected = 0
     for text in texts:
@@ -171,10 +171,10 @@ def test_per_node_lengths_must_broadcast():
     with pytest.raises(ConfigError, match="nodes.noise_p"):
         ExperimentConfig(network_n_nodes=4, nodes_noise_p=(0.1, 0.2))
     cfg = ExperimentConfig(network_n_nodes=3, nodes_eta=(0.1, 0.2, 0.3))
-    assert cfg.per_node("nodes_eta") == (0.1, 0.2, 0.3)
+    assert [cfg.per_node("nodes_eta", i) for i in range(3)] == [0.1, 0.2, 0.3]
     cfg = ExperimentConfig(network_n_nodes=3)
-    assert cfg.per_node("nodes_eta") == (0.2, 0.2, 0.2)
-    assert cfg.per_node("nodes_roles") == ("honest",) * 3
+    assert [cfg.per_node("nodes_eta", i) for i in range(3)] == [0.2] * 3
+    assert [cfg.per_node("nodes_roles", i) for i in range(3)] == ["honest"] * 3
 
 
 def test_dump_config_round_trips_through_parser():

@@ -177,7 +177,7 @@ def test_gram_matrix_equals_pairwise_reference():
         assert np.all(k >= 0.0) and np.all(k <= 1.0)
 
 
-def test_exact_gram_diagonal_is_one():
+def test_noise_free_gram_diagonal_is_one():
     rng = np.random.default_rng(59)
     spec = FeatureMapSpec(n_qubits=3, layers=3)
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
@@ -187,12 +187,12 @@ def test_exact_gram_diagonal_is_one():
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 5])
-def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
+def test_global_noise_is_the_analytic_map_of_the_noise_free_kernel(n_qubits):
     """Every engine route applies `engine.analytic_noisy_kernel` and no copy,
     and either kind at rate 0 is the noise-free kernel, bit for bit."""
     rng = np.random.default_rng(73)
     spec = FeatureMapSpec(n_qubits=n_qubits, layers=2)
-    exact, noise = NoiseModel(), NoiseModel(mode="global", p=0.3)
+    noise_free, noise = NoiseModel(), NoiseModel(mode="global", p=0.3)
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     x = random_batch(rng, 5)
 
@@ -200,17 +200,17 @@ def test_global_mode_is_the_analytic_map_of_exact_mode(n_qubits):
         return engine.analytic_noisy_kernel(k, noise.p, spec.dim)
 
     assert np.array_equal(engine.gram_matrix(spec, theta, x, noise),
-                          mapped(engine.gram_matrix(spec, theta, x, exact)))
+                          mapped(engine.gram_matrix(spec, theta, x, noise_free)))
     y = balanced_labels(4)
     values, _ = engine.multi_alignment_grads(spec, [theta], [x[:4]], [y], noise)
-    k_exact = engine.gram_matrix(spec, theta, x[:4], exact)
-    assert values[0] == learn.alignment(mapped(k_exact), y)
+    k_free = engine.gram_matrix(spec, theta, x[:4], noise_free)
+    assert values[0] == learn.alignment(mapped(k_free), y)
 
     global_zero = NoiseModel(mode="global", p=0.0)
     assert np.array_equal(engine.gram_matrix(spec, theta, x, global_zero),
-                          engine.gram_matrix(spec, theta, x, exact))
+                          engine.gram_matrix(spec, theta, x, noise_free))
     a = engine.multi_alignment_grads(spec, [theta], [x[:4]], [y], global_zero)
-    b = engine.multi_alignment_grads(spec, [theta], [x[:4]], [y], exact)
+    b = engine.multi_alignment_grads(spec, [theta], [x[:4]], [y], noise_free)
     assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -70,6 +71,10 @@ def test_prepare_problem_centralized_pools_everything():
     assert problem.nodes[0].train_rows == range(len(problem.global_train))
     assert problem.nodes[0].test_rows == range(len(problem.global_test))
     assert len(problem.global_train) + len(problem.global_test) == 32
+    # network.n_nodes is not read, so a huge one allocates nothing
+    problem = runner.prepare_problem(tiny_config(network_n_nodes=10**12),
+                                     "centralized")
+    assert [(n.node_id, n.role) for n in problem.nodes] == [(0, dnet.HONEST)]
 
 
 def test_prepare_problem_rejects_bad_modes_and_roles():
@@ -100,7 +105,7 @@ def test_prepare_problem_rejects_bad_modes_and_roles():
         runner.prepare_problem(tiny_config(network_n_nodes=2), mode)
 
 
-def test_modal_noise_prefers_the_common_model():
+def test_eval_noise_is_the_largest_groups_model():
     cfg = tiny_config(nodes_noise_p=(0.0005, 0.0005, 0.05, 0.0005))
     problem = runner.prepare_problem(cfg, "decentralized")
     assert problem.eval_noise.p == 0.0005
@@ -418,6 +423,36 @@ def test_run_reads_the_prepared_schedule_up_to_its_budget():
     assert [len(rows) for rows in fresh.schedule] == [1, 1, 1, 1]
     assert (runner.rounds_jsonl(runner.run_problem(shorter, "decentralized"))
             == runner.rounds_jsonl(runner.run_problem(fresh, "decentralized")))
+
+
+WARM_RUN_FAULTS = """
+import resource
+from qknet import runner
+from qknet.config import ExperimentConfig
+problem = runner.prepare_problem(
+    ExperimentConfig(run_budget=5, run_eval_every=101), "decentralized")
+runner.run_problem(problem, "decentralized")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+runner.run_problem(problem, "decentralized")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux does")
+def test_a_warm_run_faults_no_memory_back_in(fresh_python):
+    """A warm run reuses the heap that the first run grew.
+
+    If the engine builds a round's arrays afresh in a shape that makes
+    malloc trim the heap after every call, each round faults about 1,000
+    pages back in at the default circuit, so 5 rounds show it. It runs in a
+    fresh process, since malloc stops trimming once the process has freed
+    a larger mapped block, as a test session has.
+    """
+    pytest.importorskip("resource")
+    proc = fresh_python("-c", WARM_RUN_FAULTS)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
 
 
 def test_evaluate_node_matches_separate_score_calls():
