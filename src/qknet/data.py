@@ -117,7 +117,7 @@ def save_csv(dataset: LabeledDataset, path) -> None:
 
 def load_csv(path) -> LabeledDataset:
     xs, ys = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

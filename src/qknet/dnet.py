@@ -99,25 +99,6 @@ def spectral_gap(w: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(deflated))))
 
 
-def aggregate_plain(messages: np.ndarray, weights_row: np.ndarray) -> np.ndarray:
-    """Weighted average over the closed neighborhood (self included).
-
-    ``messages`` is the round's (N, T) broadcast, one row per node; only the
-    rows with nonzero weight are read, in node order.
-    """
-    out = None
-    total = 0.0
-    for j, w in enumerate(weights_row):
-        if w == 0.0:
-            continue
-        total += w
-        term = w * messages[j]
-        out = term if out is None else out + term
-    if out is None or abs(total - 1.0) > 1e-9:
-        raise NetError("weights over the neighborhood must sum to 1")
-    return out
-
-
 def clip(v: np.ndarray, tau: float) -> np.ndarray:
     if not tau > 0:
         raise NetError("tau must be positive")
@@ -128,21 +109,28 @@ def clip(v: np.ndarray, tau: float) -> np.ndarray:
     return (tau / norm) * v
 
 
-def aggregate_robust(self_theta: np.ndarray, messages: np.ndarray,
-                     weights_row: np.ndarray, tau: float) -> np.ndarray:
-    """Clipping aggregation: bound each message's pull before averaging.
+def aggregate(halves: np.ndarray, messages: np.ndarray, w: np.ndarray,
+              tau: float | None = None) -> np.ndarray:
+    """Mix the round's (N, T) ``messages`` into each receiver over its
+    in-edges, the nonzero entries of its row of ``w``, in node order.
 
-    ``messages`` is read as in aggregate_plain. Each message's displacement
-    from the local half-step is clipped to norm tau and added back, so the
-    result stays within tau of self_theta (self-centered clipping; He,
-    Karimireddy & Jaggi, arXiv:2202.01545).
+    ``halves`` holds the receivers' half-steps, one per row of ``w``; each row
+    must sum to 1, and rows no weight selects are never read. With ``tau``,
+    each message's displacement from the receiver's half-step is clipped to
+    norm tau and added back, so the result stays within tau of it
+    (self-centered clipping; He, Karimireddy & Jaggi, arXiv:2202.01545).
     """
-    clipped = np.zeros_like(messages, dtype=float)
-    for j, w in enumerate(weights_row):
-        if w == 0.0:
-            continue
-        clipped[j] = self_theta + clip(messages[j] - self_theta, tau)
-    return aggregate_plain(clipped, weights_row)
+    if not np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9):
+        raise NetError("weights over the neighborhood must sum to 1")
+    rows, cols = np.nonzero(w)
+    sent = messages[cols]  # one row per in-edge
+    if tau is not None:
+        base = halves[rows]
+        sent = base + np.array([clip(d, tau) for d in sent - base])
+    # -0.0 + x is x for every x, so each receiver's first term is kept as is
+    out = np.full(halves.shape, -0.0)
+    np.add.at(out, rows, w[rows, cols][:, None] * sent)
+    return out
 
 
 GAUSSIAN_ATTACK_STD = np.pi

@@ -28,6 +28,17 @@ H, RZ and RY move past the rest of the wall and merge into one at the rate
 1 - (1 - p)^3. CNOT does not commute with local depolarizing, so the ring
 noise keeps its place between the CNOTs.
 
+Noise bound: write a state as c_I = 1 and v, the other strings'
+coefficients; a pure state has |v|^2 = D - 1. Unitaries fix the identity
+string and rotate v, and a channel on a wire scales the strings nontrivial on
+it by 1 - p. Each layer's wall noise scales all of v by (1 - p)^3, and at
+n >= 2 its ring at least once more (a CNOT keeps a string nontrivial on its
+pair), so K - 1/D = v.v' / D gives |K - 1/D| <= (1 - p)^(8L) (1 - 1/D); at
+n = 1 the exponent is 6L and the diagonal attains it. RY's derivative maps v
+into itself with norm at most 1 and commutes with its wire's channel, so
+|dK/dtheta_t| <= 2 (1 - p)^(8L) (1 - 1/D). The global map scales K - 1/D by
+1 - p.
+
 Memory layout: every (rows, 4^n) array of the forward pass and the reverse
 sweep is C-ordered and written in place. The wall reads its input as a
 transposed (rows, 4^(n-1), 4) view, which BLAS takes without a copy only

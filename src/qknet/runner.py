@@ -356,12 +356,12 @@ def _exchange(problem: Problem, halves: np.ndarray, rnd: int):
     The messages are one (N, T) array: an honest node's row is its half-step,
     an attacker's the vector it crafts from the half-steps it receives (a
     fellow attacker's half-step is its last stored state); it receives from
-    the nonzero off-diagonal entries of its ``weights`` row, the support the
-    aggregators read. In every mode two safety checks follow: under
-    ``robust_clip`` no honest node moves farther than tau from its
-    half-step; under plain mixing without attackers the network mean does
-    not move by more than 1e-12 times the largest half-step angle (at
-    least 1).
+    the nonzero off-diagonal entries of its ``weights`` row. One
+    ``dnet.aggregate`` mixes every honest node over ``W``'s in-edges, and
+    in every mode two safety checks follow: under ``robust_clip`` no honest
+    node moves farther than tau from its half-step; under plain mixing
+    without attackers the network mean does not move by more than 1e-12
+    times the largest half-step angle (at least 1).
     """
     cfg = problem.config
     w = problem.weights
@@ -380,12 +380,8 @@ def _exchange(problem: Problem, halves: np.ndarray, rnd: int):
     robust = cfg.aggregation_rule == "robust_clip"
     new = messages.copy()  # an attacker keeps the vector it crafted
     honest = problem.honest_ids
-    for i in honest:
-        if robust:
-            new[i] = dnet.aggregate_robust(
-                halves[i], messages, w[i], cfg.aggregation_tau)
-        else:
-            new[i] = dnet.aggregate_plain(messages, w[i])
+    new[honest] = dnet.aggregate(halves[honest], messages, w[honest],
+                                 cfg.aggregation_tau if robust else None)
 
     if robust:
         pulls = np.linalg.norm(new[honest] - halves[honest], axis=1)

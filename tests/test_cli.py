@@ -55,6 +55,14 @@ def test_run_consumes_config_and_writes_outputs(tmp_path, capsys):
     assert "mean_score3=" in stdout
 
 
+def test_run_reads_a_config_saved_with_a_byte_order_mark(tmp_path):
+    cfg_path = tmp_path / "bom.cfg"
+    cfg_path.write_text("\ufeff" + SMALL_CONFIG.lstrip(), encoding="utf-8")
+    code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "scores.json").exists()
+
+
 def test_run_seed_flag_overrides_config(tmp_path):
     cfg_path = tmp_path / "small.cfg"
     cfg_path.write_text(SMALL_CONFIG + "run.seed = 3\n")

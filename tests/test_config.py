@@ -202,3 +202,11 @@ def test_load_config_reads_files(tmp_path):
     cfg = config.load_config(path)
     assert cfg.run_seed == 11
     assert cfg.network_topology == "complete"
+
+
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet tools save UTF-8 with a BOM; it once read as part of the
+    # first key: "unknown key '\ufeffrun.budget'"
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufeffrun.budget = 2\n", encoding="utf-8")
+    assert config.load_config(path).run_budget == 2

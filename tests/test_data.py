@@ -111,6 +111,15 @@ def test_csv_without_header_loads_too(tmp_path):
     assert np.array_equal(ds.x, back.x)
 
 
+def test_csv_load_skips_a_byte_order_mark(tmp_path):
+    # a BOM before the header once made line 1 a malformed feature value
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffx1,x2,label\n0.1,0.2,1\n", encoding="utf-8")
+    ds = data.load_csv(path)
+    assert np.array_equal(ds.x, [[0.1, 0.2]])
+    assert np.array_equal(ds.y, [1])
+
+
 def test_csv_load_accepts_plus_prefixed_labels(tmp_path):
     path = tmp_path / "plus.csv"
     path.write_text("x1,x2,label\n0.1,0.2,+1\n0.3,0.4,-1\n")

@@ -150,15 +150,22 @@ def test_aggregate_plain_is_neighborhood_average():
     w = dnet.metropolis_weights(dnet.ring(4))
     # node 2 is not a neighbour of node 0, so its row is never read
     msgs = np.array([[1.0, 0.0], [0.0, 3.0], [np.nan, np.nan], [2.0, 0.0]])
-    out = dnet.aggregate_plain(msgs, w[0])
-    assert np.allclose(out, [1.0, 1.0])
+    out = dnet.aggregate(msgs[:1], msgs, w[:1])
+    assert out.shape == (1, 2)
+    assert np.allclose(out, [[1.0, 1.0]])
 
 
 def test_aggregate_plain_rejects_weights_not_summing_to_one():
     with pytest.raises(dnet.NetError):
-        dnet.aggregate_plain(np.zeros((4, 2)), np.array([0.5, 0.0, 0.0, 0.0]))
+        dnet.aggregate(np.zeros((1, 2)), np.zeros((4, 2)),
+                       np.array([[0.5, 0.0, 0.0, 0.0]]))
     with pytest.raises(dnet.NetError):
-        dnet.aggregate_plain(np.zeros((4, 2)), np.zeros(4))
+        dnet.aggregate(np.zeros((1, 2)), np.zeros((4, 2)), np.zeros((1, 4)))
+    # every receiver row is checked, not only the first
+    w = dnet.metropolis_weights(dnet.ring(4))
+    w[2, 2] += 1e-6
+    with pytest.raises(dnet.NetError):
+        dnet.aggregate(np.zeros((4, 2)), np.zeros((4, 2)), w)
 
 
 def test_clip_preserves_direction_and_caps_norm():
@@ -180,8 +187,8 @@ def test_self_centered_clipping_bounds_the_pull():
         self_theta = rng.normal(size=6)
         msgs = rng.normal(scale=5.0, size=(4, 6))
         msgs[0] = self_theta
-        out = dnet.aggregate_robust(self_theta, msgs, w[0], tau)
-        assert np.linalg.norm(out - self_theta) <= tau + 1e-12
+        out = dnet.aggregate(self_theta[None], msgs, w[:1], tau)
+        assert np.linalg.norm(out[0] - self_theta) <= tau + 1e-12
 
 
 def test_clipping_is_inert_for_nearby_messages():
@@ -189,9 +196,45 @@ def test_clipping_is_inert_for_nearby_messages():
     self_theta = np.array([1.0, 1.0])
     msgs = np.stack([self_theta, self_theta + np.array([0.01, 0.0]),
                      np.full(2, 50.0), self_theta - np.array([0.0, 0.01])])
-    robust = dnet.aggregate_robust(self_theta, msgs, w[0], tau=1.0)
-    plain = dnet.aggregate_plain(msgs, w[0])
+    robust = dnet.aggregate(self_theta[None], msgs, w[:1], tau=1.0)
+    plain = dnet.aggregate(self_theta[None], msgs, w[:1])
     assert np.max(np.abs(robust - plain)) < 1e-12
+
+
+def _aggregate_by_loop(halves, messages, w, tau):
+    """Per receiver, the weighted sum over its nonzero weights in node order,
+    each message clipped around the receiver's half-step when tau is set."""
+    out = []
+    for self_theta, row in zip(halves, w):
+        acc = None
+        for j, weight in enumerate(row):
+            if weight == 0.0:
+                continue
+            msg = messages[j]
+            if tau is not None:
+                msg = self_theta + dnet.clip(messages[j] - self_theta, tau)
+            term = weight * msg
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("graph", [dnet.ring, dnet.complete])
+def test_aggregate_matches_the_per_node_loop(graph, n):
+    rng = np.random.default_rng(n)
+    w = dnet.metropolis_weights(graph(n))
+    for _ in range(5):
+        receivers = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+        messages = rng.normal(scale=0.3, size=(n, 7))
+        halves = messages[receivers].copy()
+        unread = np.flatnonzero(~w[receivers].any(axis=0))
+        if len(unread):  # a row no receiver's weights select is never read
+            messages[unread[0]] = np.nan
+        for tau in (None, 0.05, 0.5, 50.0):
+            got = dnet.aggregate(halves, messages, w[receivers], tau)
+            want = _aggregate_by_loop(halves, messages, w[receivers], tau)
+            assert np.array_equal(got, want)
 
 
 def test_gaussian_attack_moment_matching():

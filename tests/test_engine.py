@@ -372,3 +372,53 @@ def test_property_multi_alignment_matches_per_node_calls(case, counts, shared):
         a, g = one_node_alignment(spec, thetas[i], xs[i], ys[i], noise)
         assert abs(values[i] - a) < 1e-12
         assert np.max(np.abs(grads[i] - g)) < 1e-12
+
+
+@st.composite
+def noisy_circuits(draw):
+    """(spec, noise, rng) over n <= 4 wires and <= 4 layers, both noise kinds."""
+    spec = FeatureMapSpec(
+        n_qubits=draw(st.integers(1, 4)), layers=draw(st.integers(1, 4))
+    )
+    mode = draw(st.sampled_from(engine.NOISE_MODES))
+    top = 0.2 if mode == "per_gate" else 0.9
+    p = draw(st.one_of(st.just(0.0), st.floats(0.0, top)))
+    noise = NoiseModel(mode=mode, p=p)
+    return spec, noise, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def noise_contraction(spec, noise):
+    """Bound on |K - 1/D| / (1 - 1/D), derived in the `engine` docstring."""
+    if noise.mode == "global":
+        return 1.0 - noise.p
+    per_layer = 8 if spec.n_qubits >= 2 else 6
+    return (1.0 - noise.p) ** (per_layer * spec.layers)
+
+
+@PROPERTY_SETTINGS
+@given(noisy_circuits())
+def test_property_noise_bounds_the_kernel(case):
+    spec, noise, rng = case
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    x = rng.uniform(-np.pi, np.pi, size=(2, 2))
+    bound = noise_contraction(spec, noise) * (1.0 - 1.0 / spec.dim)
+    dev = np.abs(engine.gram_matrix(spec, theta, x, noise) - 1.0 / spec.dim)
+    assert np.all(dev <= bound * (1.0 + 1e-9))
+    if noise.mode == "global" or spec.n_qubits == 1:
+        # a pure state under global noise, and one wire whose every string
+        # the wall noise scales alike, reach the bound on the diagonal
+        assert np.all(np.diag(dev) >= bound * (1.0 - 1e-9))
+
+
+@PROPERTY_SETTINGS
+@given(noisy_circuits())
+def test_property_noise_bounds_the_kernel_gradient(case):
+    spec, noise, rng = case
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    x = rng.uniform(-np.pi, np.pi, size=(2, 2))
+    states, tape = engine.feature_states(spec, theta, x, noise, record_tape=True)
+    # K = c(x) . c(x') / D, so each state's cost row is the other state / D
+    cost = states[::-1] * (1.0 - noise.global_p) / spec.dim
+    grad = engine.backward(spec, noise, tape, cost).sum(axis=0)
+    bound = 2.0 * noise_contraction(spec, noise) * (1.0 - 1.0 / spec.dim)
+    assert np.all(np.abs(grad) <= bound * (1.0 + 1e-9))

@@ -284,9 +284,9 @@ def test_exchange_safety_checks_fire(monkeypatch):
     thetas = runner._init_thetas(problem)
     halves, _ = runner._half_steps(problem, thetas, 0)
     runner._exchange(problem, halves, 0)
-    plain = dnet.aggregate_plain
-    monkeypatch.setattr(dnet, "aggregate_plain",
-                        lambda msgs, w: plain(msgs, w) + 1e-6)
+    aggregate = dnet.aggregate
+    monkeypatch.setattr(dnet, "aggregate",
+                        lambda *args: aggregate(*args) + 1e-6)
     with pytest.raises(runner.RunError, match="moved the network mean"):
         runner._exchange(problem, halves, 0)
     monkeypatch.undo()
@@ -315,9 +315,9 @@ def test_plain_mean_check_scales_with_the_angles(monkeypatch):
     # rounding alone moved the mean of angles of size 1e5 by 3.6e-12
     runner.run(ExperimentConfig(circuit_n_qubits=2, circuit_layers=2,
                                 init_scale=1e5, run_budget=20))
-    plain = dnet.aggregate_plain
-    monkeypatch.setattr(dnet, "aggregate_plain",
-                        lambda msgs, w: plain(msgs, w) + 1e-6)
+    aggregate = dnet.aggregate
+    monkeypatch.setattr(dnet, "aggregate",
+                        lambda *args: aggregate(*args) + 1e-6)
     for scale in (0.1, 1e5):
         problem = runner.prepare_problem(tiny_config(init_scale=scale),
                                          "decentralized")
@@ -577,3 +577,16 @@ def test_benchmark_tracing_sees_every_hooked_layer():
     declared = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
     missing = {m["name"] for m in declared} - set(metrics)
     assert missing == {"trace.overhead_ratio"}
+
+
+def test_benchmark_workload_runs_end_to_end(tmp_path, fresh_python):
+    """The benchmark's measuring process reads runner, dnet and qkernel by
+    name; a short run of it must still finish with no failed repetition."""
+    proc = fresh_python(str(REPO / "perfbench" / "workload.py"), "run",
+                        "--workload", "ring_eval", "--seed", "0",
+                        "--seconds", "0.01", "--trace", "0",
+                        "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["failed"] == 0, report["failures"]
+    assert report["attempted"] >= 2
