@@ -61,12 +61,11 @@ def cell_label(col: int, row: int) -> int:
     return 1 if (row + col) % 2 == 0 else -1
 
 
-def cell_of(point) -> tuple[int, int]:
-    """The grid cell holding ``point``; a coordinate at or above 1 falls in
-    the last cell and one below 0 in the first, so every point has a cell."""
-    col = min(max(int(point[0] / CELL), 0), GRID - 1)
-    row = min(max(int(point[1] / CELL), 0), GRID - 1)
-    return col, row
+def cell_of(points):
+    """The (col, row) cell of one point, or the (n, 2) cells of n points; a
+    coordinate outside [0, 1) falls in the nearest cell."""
+    cells = np.clip(np.asarray(points)[..., :2] / CELL, 0, GRID - 1).astype(int)
+    return tuple(cells.tolist()) if cells.ndim == 1 else cells
 
 
 def gen_checkerboard(points_per_cell: int = 10, sigma: float = 0.04,
@@ -181,7 +180,7 @@ def partition(dataset: LabeledDataset, strategy: str = "region",
         if (GRID * GRID) % n_nodes != 0:
             raise DataError("region partition needs n_nodes dividing 16")
         per = (GRID * GRID) // n_nodes
-        cells = np.array([cell_of(p) for p in dataset.x])
+        cells = cell_of(dataset.x)
         flat = cells[:, 0] * GRID + cells[:, 1]  # column-major cell index
         out = [np.where((flat >= k * per) & (flat < (k + 1) * per))[0]
                for k in range(n_nodes)]

@@ -7,9 +7,8 @@ interference circuit: run the map for x, then the adjoint of the map for x'.
 
 Noise is one of two kinds, each with a rate p, and p = 0 is noise-free under
 either: per-gate local depolarizing at rate p_tilde = p on the wires of every
-executed gate (after it in the compute half, mirrored before it in the
-uncompute half), or a global analytic map that mixes the noise-free kernel
-value toward 1/D at rate p.
+executed gate, placed by `_run_steps` alone, or a global analytic map that
+mixes the noise-free kernel value toward 1/D at rate p.
 
 This is the gate-by-gate reference that `engine` is tested against. The
 circuit shape, the noise model and the global map are `engine`'s, so both
@@ -64,12 +63,6 @@ def _interference_steps(
     return [(g, False) for g in fwd] + [(g, True) for g in adj]
 
 
-def _depolarize(rho, gate: Gate, p: float):
-    for q in gate.qubits:
-        rho = qsim.apply_depolarizing_local(rho, q, p)
-    return rho
-
-
 def _run_steps(rho, steps, p: float):
     """Apply each gate with depolarizing at rate ``p`` on its wires.
 
@@ -77,11 +70,13 @@ def _run_steps(rho, steps, p: float):
     so the uncompute half is the exact channel adjoint of the compute half.
     """
     for gate, uncompute in steps:
-        if p and uncompute:
-            rho = _depolarize(rho, gate, p)
-        rho = qsim.apply_gate(rho, gate)
-        if p and not uncompute:
-            rho = _depolarize(rho, gate, p)
+        if not uncompute:
+            rho = qsim.apply_gate(rho, gate)
+        if p:
+            for q in gate.qubits:
+                rho = qsim.apply_depolarizing_local(rho, q, p)
+        if uncompute:
+            rho = qsim.apply_gate(rho, gate)
     return rho
 
 
@@ -121,9 +116,8 @@ def parameter_shift_gradient(
     every RY, and one reverse pass of P0 keeps O_i, the observable that the
     steps after RY i turn P0 into. A shifted circuit's probability is then
     Tr[O_i step(rho_i)], where step is the shifted gate with its channels.
-    Local depolarizing is its own adjoint, so an adjoint step applies the
-    channel, then the adjoint gate, for a compute step, and the reverse for
-    an uncompute step.
+    Local depolarizing is its own adjoint, so a step's adjoint is the adjoint
+    gate run as a step of the other half.
     """
     theta = np.asarray(theta, dtype=float)
     steps = _interference_steps(spec, theta, theta, x1, x2)
@@ -139,11 +133,7 @@ def parameter_shift_gradient(
         if i in before:
             after[i] = obs
         gate, uncompute = steps[i]
-        if p and not uncompute:
-            obs = _depolarize(obs, gate, p)
-        obs = qsim.apply_gate(obs, gate.adjoint())
-        if p and uncompute:
-            obs = _depolarize(obs, gate, p)
+        obs = _run_steps(obs, [(gate.adjoint(), not uncompute)], p)
     ry = list(before)
     # the compute half meets theta in order, the uncompute half in reverse
     occurrences = list(zip(ry[: spec.n_params], ry[spec.n_params :][::-1]))

@@ -24,14 +24,8 @@ import numpy as np
 
 from . import dnet, engine, learn
 from .config import MODES, ExperimentConfig, dump_config
-from .data import (
-    DataError,
-    LabeledDataset,
-    gen_checkerboard,
-    load_csv,
-    partition,
-    train_test_split,
-)
+from .data import (GRID, DataError, LabeledDataset, gen_checkerboard,
+                   load_csv, partition, train_test_split)
 from .engine import FeatureMapSpec, NoiseModel
 
 
@@ -150,9 +144,26 @@ class RunResult:
         return _first_crossing(self.evals, self.config.run_threshold)
 
 
+def _physical_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _eval_bytes(n_qubits: int, n_points: int) -> int:
+    """Bytes of every point's state and their Gram, built at once."""
+    return (8 * 4**n_qubits + 8 * n_points) * n_points
+
+
 def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
     if config.data_source == "csv":
         return load_csv(config.data_csv_path)
+    n, points = config.circuit_n_qubits, GRID**2 * config.data_points_per_cell
+    need, physical = _eval_bytes(n, points), _physical_bytes()
+    if need > physical:
+        raise RunError(
+            f"data.points_per_cell = {config.data_points_per_cell} is too large:"
+            f" at circuit.n_qubits = {n} the states and Gram of its {points}"
+            f" points need {need} bytes, more than the {physical} bytes of"
+            f" physical memory")
     return gen_checkerboard(config.data_points_per_cell, config.data_sigma,
                             derived_seed(config.run_seed, TAG_DATA, 0, 0))
 
@@ -184,12 +195,11 @@ def _check_memory(config: ExperimentConfig, nodes, n_points: int) -> None:
     batches = [sum(node.batch for node in group)
                for group in _noise_groups(nodes).values()]
     n, layers = config.circuit_n_qubits, config.circuit_layers
-    state = 8 * 4**n
     arrays = (8 * len(nodes) * n * layers
-              + state * layers * max(batches, default=0)
-              + (state + 8 * n_points) * n_points)
+              + 8 * 4**n * layers * max(batches, default=0)
+              + _eval_bytes(n, n_points))
     schedule = _schedule_bytes(nodes, config.run_budget)
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    physical = _physical_bytes()
     if arrays + schedule > physical:
         raise RunError(
             f"circuit.n_qubits = {n} and circuit.layers = {layers} on"

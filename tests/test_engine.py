@@ -22,13 +22,9 @@ MODELS = (
 
 def forward_state_oracle(spec, theta, x, noise):
     """One data point's feature state, gate by gate through the simulator."""
-    rho = qsim.zero_state(spec.n_qubits)
-    for g in qkernel.build_circuit_gates(spec, theta, x):
-        rho = qsim.apply_gate(rho, g)
-        if noise.mode == "per_gate" and noise.p > 0.0:
-            for q in g.qubits:
-                rho = qsim.apply_depolarizing_local(rho, q, noise.p)
-    return rho
+    steps = [(g, False) for g in qkernel.build_circuit_gates(spec, theta, x)]
+    return qkernel._run_steps(qsim.zero_state(spec.n_qubits), steps,
+                              noise.per_gate_p)
 
 
 def pauli_strings(n):

@@ -1,7 +1,8 @@
-"""No module in src, tests or demos imports a name it never uses, no CLI
-subcommand defines an option that its command function never reads, only
-the gate-by-gate reference (``qsim`` + ``qkernel``) imports the reference,
-and only ``engine`` reads which kind a noise model is."""
+"""No module in src, tests or demos imports a name it never uses, no private
+top-level name in src goes unread, no CLI subcommand defines an option that
+its command function never reads, only the gate-by-gate reference (``qsim``
++ ``qkernel``) imports the reference, and only ``engine`` reads which kind a
+noise model is."""
 
 import argparse
 import ast
@@ -53,6 +54,47 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in sorted((ROOT / folder).rglob("*.py"))
              for entry in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "\n".join(found)
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``label name`` for each private top-level name of a source that no
+    source reads, by ``Name`` or ``Attribute``, outside its definition.
+
+    Private means one leading underscore; dunder names are not private.
+    """
+    defined, read = [], set()
+    for label, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(label, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(
+                    node.ctx, ast.Store):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return [f"{label} {name}" for label, name in defined if name not in read]
+
+
+def test_unread_private_names_counts_reads_only():
+    sources = {"a": ("_A = 1\n_B: int = 2\n_C = 3\n__v__ = 4\n"
+                     "def _f():\n    return 0\nclass _K:\n    pass\n"),
+               "b": "import a\nprint(a._B, _A)\na._C = 5\n"}
+    assert unread_private_names(sources) == ["a _C", "a _f", "a _K"]
+
+
+def test_every_private_name_in_src_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "qknet").glob("*.py"))}
+    found = unread_private_names(sources)
+    assert not found, found
 
 
 REFERENCE = {"qsim", "qkernel"}

@@ -402,6 +402,21 @@ def test_a_run_too_large_for_the_host_names_its_size():
         runner._check_memory(problem.config, problem.nodes, 10**7)
 
 
+def test_an_oversize_checkerboard_is_refused_before_it_is_drawn(monkeypatch):
+    # 16 x 10**6 points need (8 x 4**2 + 8 x 16e6) x 16e6 bytes of states
+    # and Gram, past any host; drawing them would take tens of seconds and
+    # gigabytes first
+    def draw(*args):
+        raise AssertionError("the checkerboard was drawn")
+
+    monkeypatch.setattr(runner, "gen_checkerboard", draw)
+    with pytest.raises(runner.RunError, match=r"data.points_per_cell = 1000000 "
+                       r"is too large: at circuit.n_qubits = 2 .* its 16000000"
+                       r" points need 2048002048000000 bytes"):
+        runner.prepare_problem(tiny_config(data_points_per_cell=10**6),
+                               "decentralized")
+
+
 def test_the_memory_check_counts_the_subsample_schedule():
     # the other arrays of the tiny run are a few KB; its schedule at 10**14
     # rounds is 8 bytes x 10**14 x 4 rows x 4 honest nodes. Arithmetic only
