@@ -21,7 +21,6 @@ class ConfigError(ValueError):
 
 
 MODES = ("decentralized", "centralized", "local")
-_SOURCES = ("checkerboard", "csv")
 _TOPOLOGIES = ("ring", "complete")
 _RULES = ("plain", "robust_clip")
 
@@ -30,7 +29,6 @@ _RULES = ("plain", "robust_clip")
 class ExperimentConfig:
     circuit_n_qubits: int = 5
     circuit_layers: int = 8
-    data_source: str = "checkerboard"
     data_csv_path: str = ""
     data_points_per_cell: int = 10
     data_sigma: float = 0.04
@@ -66,10 +64,6 @@ class ExperimentConfig:
             raise ConfigError(f"circuit.n_qubits must lie in [1, {MAX_QUBITS}]")
         if self.circuit_layers < 1:
             raise ConfigError("circuit.layers must be at least 1")
-        if self.data_source not in _SOURCES:
-            raise ConfigError(f"data.source must be one of {_SOURCES}")
-        if self.data_source == "csv" and not self.data_csv_path:
-            raise ConfigError("data.csv_path is required when data.source = csv")
         if self.data_points_per_cell < 1:
             raise ConfigError("data.points_per_cell must be at least 1")
         if not 0.0 < self.data_sigma <= MAX_SIGMA:

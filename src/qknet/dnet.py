@@ -169,7 +169,6 @@ def attack_signflip(neighbor_messages) -> np.ndarray:
 def consensus_distance(thetas) -> float:
     """Largest node deviation from the network mean, in the 2-norm."""
     stack = np.asarray(thetas, dtype=float)
-    if len(stack) < 2:
-        raise NetError("consensus distance needs at least two nodes")
-    mean = stack.mean(axis=0)
-    return float(np.max(np.linalg.norm(stack - mean, axis=1)))
+    if not len(stack):
+        raise NetError("consensus distance needs at least one node")
+    return float(np.max(np.linalg.norm(stack - stack.mean(axis=0), axis=1)))

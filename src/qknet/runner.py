@@ -154,7 +154,7 @@ def _eval_bytes(n_qubits: int, n_points: int) -> int:
 
 
 def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
-    if config.data_source == "csv":
+    if config.data_csv_path:
         return load_csv(config.data_csv_path)
     n, points = config.circuit_n_qubits, GRID**2 * config.data_points_per_cell
     need, physical = _eval_bytes(n, points), _physical_bytes()
@@ -432,11 +432,10 @@ def evaluate_node(problem: Problem, node: NodeSetup, theta: np.ndarray,
     """
     every_train = range(len(problem.global_train))
     every_test = range(len(problem.global_test))
-    s1, s2, s3 = _score(
+    return ScoreReport(node.node_id, *_score(
         problem, theta, node.noise, node.node_id, rnd,
         splits=[(node.train_rows, node.test_rows), (node.train_rows, every_test),
-                (every_train, every_test)])
-    return ScoreReport(node.node_id, s1, s2, s3)
+                (every_train, every_test)]))
 
 
 def _mean_model(problem: Problem, thetas: np.ndarray) -> np.ndarray:
@@ -446,9 +445,8 @@ def _mean_model(problem: Problem, thetas: np.ndarray) -> np.ndarray:
 
 def _evaluate(problem: Problem, thetas: np.ndarray, rnd: int) -> EvalPoint:
     """Score the honest nodes' mean model; node scores wait for the end."""
-    acc = _score(problem, _mean_model(problem, thetas), problem.eval_noise,
-                 len(problem.nodes), rnd)
-    return EvalPoint(rnd, acc)
+    return EvalPoint(rnd, _score(problem, _mean_model(problem, thetas),
+                                 problem.eval_noise, len(problem.nodes), rnd))
 
 
 def run_problem(problem: Problem, mode: str) -> RunResult:
@@ -469,9 +467,7 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
     for rnd in range(cfg.run_budget):
         halves, metrics = _half_steps(problem, thetas, rnd)
         thetas = _exchange(problem, halves, rnd)
-        consensus = (dnet.consensus_distance(thetas[honest])
-                     if len(honest) >= 2 else 0.0)
-        rounds.append((metrics, consensus))
+        rounds.append((metrics, dnet.consensus_distance(thetas[honest])))
         gnorms = [m[2] for m in metrics if m is not None]
         done = (rnd == cfg.run_budget - 1
                 or math.fsum(gnorms) / len(gnorms) < cfg.run_g_thresh)
@@ -508,7 +504,16 @@ def _first_crossing(evals, threshold: float) -> int | None:
 
 
 def rounds_jsonl(result: RunResult) -> str:
-    lines = [json.dumps(rec._asdict()) for rec in result.records]
+    """One JSON object a line; a diverged run's infinity or NaN is refused."""
+    try:
+        lines = [json.dumps(r._asdict(), allow_nan=False) for r in result.records]
+    except ValueError:  # JSON has no infinity or NaN
+        rec, key = next((r, k) for r in result.records
+                        for k, v in r._asdict().items()
+                        if v is not None and not math.isfinite(v))
+        raise RunError(
+            f"the run diverged: round {rec.round}, node {rec.node} has {key} ="
+            f" {getattr(rec, key)}, which JSON cannot hold") from None
     return "\n".join(lines) + "\n"
 
 
@@ -530,9 +535,10 @@ def write_outputs(result: RunResult, out_dir, problem: Problem):
 
     ``problem`` is the prepared problem ``result`` came from.
     """
+    rounds = rounds_jsonl(result)  # refuses a diverged run before any write
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "rounds.jsonl").write_text(rounds_jsonl(result), encoding="utf-8")
+    (out / "rounds.jsonl").write_text(rounds, encoding="utf-8")
     (out / "scores.json").write_text(
         json.dumps(scores_json(result), indent=2) + "\n", encoding="utf-8")
     if result.config.output_gram_final:

@@ -135,8 +135,7 @@ def _assert_one_error_line(code, capsys, message):
          "network.n_nodes = 3"),
         (SMALL_CONFIG, "missing.cfg", [], "No such file or directory"),
         (SMALL_CONFIG, ".", [], "Is a directory"),
-        (SMALL_CONFIG + "data.source = csv\n"
-         "data.csv_path = no/such/points.csv\n", "bad.cfg", [],
+        (SMALL_CONFIG + "data.csv_path = no/such/points.csv\n", "bad.cfg", [],
          "No such file or directory: 'no/such/points.csv'"),
         (SMALL_CONFIG + "run.seed = -1\n", "bad.cfg", [],
          "run.seed must be non-negative"),
@@ -156,14 +155,18 @@ def _assert_one_error_line(code, capsys, message):
         (SMALL_CONFIG.replace("circuit.layers = 2",
                               "circuit.layers = 100000000000000"),
          "bad.cfg", [], "circuit.layers = 100000000000000 on 32 points need"),
-        (SMALL_CONFIG + "data.source = csv\ndata.csv_path = left.csv\n",
+        (SMALL_CONFIG + "data.csv_path = left.csv\n",
          "bad.cfg", [], "partition.strategy = region cannot split the data over"
          " network.n_nodes = 4: a node received no data"),
+        pytest.param(SMALL_CONFIG + "nodes.eta = 1e300\n", "bad.cfg", [],
+                     "the run diverged: round 0, node 0 has consensus_dist = inf",
+                     marks=pytest.mark.filterwarnings("ignore:overflow")),
     ],
     ids=["bad_key", "bad_network_shape", "missing_config", "config_is_a_dir",
          "missing_csv", "negative_config_seed", "negative_seed_flag",
          "tiny_test_fraction", "two_node_ring", "huge_budget", "huge_shots",
-         "huge_points_per_cell", "huge_circuit", "node_without_data"],
+         "huge_points_per_cell", "huge_circuit", "node_without_data",
+         "diverged_run"],
 )
 def test_run_reports_a_bad_config_as_one_error_line(tmp_path, monkeypatch, capsys,
                                                     text, config, flags, message):

@@ -52,6 +52,12 @@ def test_parse_rejects_unknown_key_with_line_number():
         config.parse_config("run.budget = 5\ncircuit.width = 3\n")
 
 
+def test_data_source_is_an_unknown_key():
+    # data.csv_path alone chooses the data source
+    with pytest.raises(ConfigError, match="unknown key 'data.source'"):
+        config.parse_config("data.source = csv\n")
+
+
 def test_parse_rejects_duplicate_key():
     with pytest.raises(ConfigError, match="duplicate"):
         config.parse_config("run.budget = 5\nrun.budget = 6\n")
@@ -69,10 +75,6 @@ def test_parse_rejects_malformed_lines_and_values():
 def test_validation_catches_bad_fields():
     with pytest.raises(ConfigError):
         ExperimentConfig(circuit_n_qubits=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(data_source="parquet")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(data_source="csv")  # missing path
     with pytest.raises(ConfigError):
         ExperimentConfig(data_test_fraction=1.0)
     with pytest.raises(ConfigError):
@@ -156,8 +158,7 @@ def test_every_bad_value_or_conflict_raises_only_config_error():
               for value in ("0", "2", "-1")]
     texts += ["network.n_nodes = 3\nnodes.roles = honest, honest",
               "network.n_nodes = 2\nnodes.eta = 0.1, 0.2, 0.3",
-              "network.n_nodes = 3\nnodes.noise_p = 0.1, 0.2",
-              "data.source = csv\ndata.csv_path = "]
+              "network.n_nodes = 3\nnodes.noise_p = 0.1, 0.2"]
     rejected = 0
     for text in texts:
         try:

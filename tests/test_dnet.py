@@ -146,7 +146,7 @@ def test_consensus_iteration_contracts_at_the_spectral_gap():
         assert spread <= (rate + 1e-9) ** 30 * 10.0
 
 
-def test_aggregate_plain_is_neighborhood_average():
+def test_aggregate_is_neighborhood_average():
     w = dnet.metropolis_weights(dnet.ring(4))
     # node 2 is not a neighbour of node 0, so its row is never read
     msgs = np.array([[1.0, 0.0], [0.0, 3.0], [np.nan, np.nan], [2.0, 0.0]])
@@ -155,7 +155,7 @@ def test_aggregate_plain_is_neighborhood_average():
     assert np.allclose(out, [[1.0, 1.0]])
 
 
-def test_aggregate_plain_rejects_weights_not_summing_to_one():
+def test_aggregate_rejects_weights_not_summing_to_one():
     with pytest.raises(dnet.NetError):
         dnet.aggregate(np.zeros((1, 2)), np.zeros((4, 2)),
                        np.array([[0.5, 0.0, 0.0, 0.0]]))
@@ -281,5 +281,6 @@ def test_consensus_distance_max_deviation():
     expected = max(np.linalg.norm(t - mean) for t in thetas)
     assert abs(dnet.consensus_distance(thetas) - expected) < 1e-12
     assert dnet.consensus_distance([np.ones(3), np.ones(3)]) == 0.0
+    assert dnet.consensus_distance([np.array([1e300, -3.0, 0.1])]) == 0.0
     with pytest.raises(dnet.NetError):
-        dnet.consensus_distance([np.ones(3)])
+        dnet.consensus_distance(np.empty((0, 3)))

@@ -1,15 +1,17 @@
 """No module in src, tests or demos imports a name it never uses, no private
-top-level name in src goes unread, no CLI subcommand defines an option that
-its command function never reads, only the gate-by-gate reference (``qsim``
-+ ``qkernel``) imports the reference, and only ``engine`` reads which kind a
-noise model is."""
+top-level name in src goes unread, no config key goes unread outside
+``config``, no CLI subcommand defines an option that its command function
+never reads, only the gate-by-gate reference (``qsim`` + ``qkernel``) imports
+the reference, and only ``engine`` reads which kind a noise model is."""
 
 import argparse
 import ast
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 from qknet import cli
+from qknet.config import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,6 +96,35 @@ def test_every_private_name_in_src_is_read():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "qknet").glob("*.py"))}
     found = unread_private_names(sources)
+    assert not found, found
+
+
+def unread_fields(names, sources: dict[str, str]) -> list[str]:
+    """The names that no source reads as an attribute or spells as a string
+    constant, as ``config.per_node("nodes_eta", i)`` does."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [name for name in names if name not in read]
+
+
+def test_unread_fields_counts_attribute_reads_and_strings():
+    sources = {"a": "cfg.run_seed = 1\nprint(cfg.run_budget)\n",
+               "b": "cfg.per_node('nodes_eta', 0)\nnodes_roles = 2\n"}
+    names = ["run_seed", "run_budget", "nodes_eta", "nodes_roles"]
+    assert unread_fields(names, sources) == ["run_seed", "nodes_roles"]
+
+
+def test_every_config_key_is_read_outside_config():
+    """A key that only ``config`` reads is validated and then ignored."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "qknet").glob("*.py"))
+               if path.name != "config.py"}
+    found = unread_fields([f.name for f in fields(ExperimentConfig)], sources)
     assert not found, found
 
 

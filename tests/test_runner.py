@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qknet import dnet, engine, learn, runner
+from qknet import data, dnet, engine, learn, runner
 from qknet.config import ExperimentConfig
 from qknet.engine import NoiseModel
 
@@ -75,6 +75,15 @@ def test_prepare_problem_centralized_pools_everything():
     problem = runner.prepare_problem(tiny_config(network_n_nodes=10**12),
                                      "centralized")
     assert [(n.node_id, n.role) for n in problem.nodes] == [(0, dnet.HONEST)]
+
+
+def test_a_csv_path_alone_chooses_the_csv(tmp_path):
+    points = data.gen_checkerboard(2, 0.04, seed=11)
+    data.save_csv(points, tmp_path / "points.csv")
+    problem = runner.prepare_problem(
+        tiny_config(data_csv_path=str(tmp_path / "points.csv")), "decentralized")
+    used = np.concatenate([problem.global_train.x, problem.global_test.x])
+    assert sorted(map(tuple, used)) == sorted(map(tuple, points.x))
 
 
 def test_prepare_problem_rejects_bad_modes_and_roles():
@@ -523,6 +532,16 @@ def test_rounds_jsonl_schema():
     for line in lines:
         rec = json.loads(line)
         assert tuple(rec.keys()) == runner.RoundRecord._fields
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_rounds_jsonl_refuses_a_diverged_run():
+    # eta = 1e300 sends the angles near the float limit, where the
+    # consensus distance's norm overflows
+    result = runner.run(tiny_config(circuit_layers=1, nodes_eta=(1e300,)))
+    with pytest.raises(runner.RunError,
+                       match="round 0, node 0 has consensus_dist = inf"):
+        runner.rounds_jsonl(result)
 
 
 def test_scores_json_echoes_config():
