@@ -43,11 +43,17 @@ Memory layout: every (rows, 4^n) array of the forward pass and the reverse
 sweep is C-ordered and written in place. The wall reads its input as a
 transposed (rows, 4^(n-1), 4) view, which BLAS takes without a copy only
 when the rows are C-ordered; `c[:, src]` would return a Fortran-ordered
-array, so the gather is `take(..., out=buf, mode="clip")` into a C-ordered
-scratch row block. The default mode="raise" buffers `out` and copies it
-back; "clip" writes straight into it and never changes an index, since
-`src` is a permutation. Each call allocates its own scratch, states and tape
-arrays, so tapes from two calls never share memory.
+array, so the gather is `take(..., out=rows, mode="clip")` into C-ordered
+rows. The default mode="raise" buffers `out` and copies it back; "clip"
+writes straight into it and never changes an index, since `src` is a
+permutation. Each forward layer gathers into its block's own rows of the
+returned states, and the reverse sweep into its gather buffer; the next
+wall reads those rows and takes them as its second temporary, so a call
+keeps one scratch row block beside what it returns (two without a tape,
+whose wall output is scratch too). The training call writes its cost
+vectors over the states, which nothing reads afterwards. Each call
+allocates its own scratch, states and tape arrays, so tapes from two calls
+never share memory.
 
 Gradients come from one reverse sweep per batch (adjoint-state method; Jones
 & Gacon, arXiv:2009.02823) instead of per-parameter shifted evaluations. Both
@@ -247,14 +253,16 @@ def _wall_ptms(
 
 
 def _apply_wall(c: np.ndarray, mats: np.ndarray, out: np.ndarray,
-                tmp: np.ndarray) -> None:
+                tmp: tuple[np.ndarray, np.ndarray]) -> None:
     """Write into ``out`` the wall of one 4x4 matrix per row and wire.
 
-    ``mats`` is (B, n, 4, 4) and ``tmp`` two (B, 4**n) scratch rows; ``c``,
-    ``out`` and ``tmp`` must not overlap. Each step contracts the leading
-    digit and writes it as the trailing one, so after n steps the digits are
-    back in their original order. Every operand is a C-ordered array or a
-    transposed view of one, which BLAS takes without a copy.
+    ``mats`` is (B, n, 4, 4) and ``tmp`` two (B, 4**n) scratch row blocks.
+    ``tmp[1]`` may be ``c`` itself, which the wall then overwrites, since
+    the first step reads ``c`` into ``tmp[0]``; ``out`` overlaps neither
+    ``c`` nor ``tmp``. Each step contracts the leading digit and writes it
+    as the trailing one, so after n steps the digits are back in their
+    original order. Every operand is a C-ordered array or a transposed view
+    of one, which BLAS takes without a copy.
     """
     b, n = c.shape[0], mats.shape[1]
     for q in range(n):
@@ -314,34 +322,34 @@ def feature_states(
     zero = _zero_state(n)
     states = np.empty((b, zero.size))
     step = min(_block_rows(n), b) or 1
-    # two wall temporaries, the gather output and, without a tape, the wall
-    # output. The sizes of these per-call arrays decide whether glibc keeps
-    # the freed heap: a variant that gathered straight into `states` made it
-    # trim after every call, at 96,000 page faults per `ring_train` repetition.
-    scratch = np.empty((3 if record_tape else 4, step, zero.size))
+    # a wall temporary and, without a tape, the wall output; every layer
+    # gathers into the block's own rows of `states`
+    scratch = np.empty((1 if record_tape else 2, step, zero.size))
     if record_tape:
         sigma = np.empty((layers, b, zero.size))
         walls = np.empty((layers, b, n, 4, 4))
 
     for lo in range(0, b, step):
         hi = min(lo + step, b)
-        tmp, buf = scratch[:2, : hi - lo], scratch[2, : hi - lo]
+        rows = states[lo:hi]
+        tmp = (scratch[0, : hi - lo], rows)
         mats = _wall_ptms(spec, cos_t[lo:hi], sin_t[lo:hi], x[lo:hi], assign)
         if record_tape:
             walls[:, lo:hi] = mats
-        c = np.broadcast_to(zero, buf.shape)
+        c = np.broadcast_to(zero, rows.shape)
         for layer in range(layers):
-            wall_out = sigma[layer, lo:hi] if record_tape else scratch[3, : hi - lo]
+            wall_out = sigma[layer, lo:hi] if record_tape else scratch[1, : hi - lo]
             _apply_wall(c, mats[layer], wall_out, tmp)
-            c = states[lo:hi] if layer == layers - 1 else buf
-            _gather(wall_out, src, s, c)
+            _gather(wall_out, src, s, rows)
+            c = rows
     return states, (sigma, walls) if record_tape else None
 
 
 def gram_from_states(states: np.ndarray) -> np.ndarray:
     """Gram K[i, j] = c(i) . c(j) / D of (rows, 4**n) states, clipped to [0, 1]."""
-    d = math.isqrt(states.shape[1])
-    return np.clip((states @ states.T) / d, 0.0, 1.0)
+    k = states @ states.T
+    k /= math.isqrt(states.shape[1])
+    return np.clip(k, 0.0, 1.0, out=k)
 
 
 def backward(
@@ -370,7 +378,7 @@ def backward(
     lam = np.array(cost_ops, dtype=float, order="C")
     b = lam.shape[0]
     buf = np.empty_like(lam)
-    tmp = np.empty((2,) + lam.shape)
+    tmp = (np.empty_like(lam), buf)  # the wall's input is its second temporary
     grad = np.zeros((b, spec.n_params))
     for layer in range(spec.layers - 1, -1, -1):
         _gather(lam, inv, s_inv, buf)
@@ -429,14 +437,12 @@ def multi_alignment_grads(
     states, tape = feature_states(spec, theta_rows, np.vstack(xs), noise,
                                   record_tape=True)
     scale = 1.0 - noise.global_p
-    # filled in place: stacking fresh blocks makes malloc trim the heap per call
-    cost = np.zeros_like(states)
     values = []
-    for block, out, y in zip(np.split(states, cuts), np.split(cost, cuts), ys):
+    for block, y in zip(np.split(states, cuts), ys):
         k = analytic_noisy_kernel(gram_from_states(block), noise.global_p, spec.dim)
         a, w = _alignment_weights(k, np.asarray(y, dtype=float))
         values.append(a)
-        out[:] = (2.0 * scale / spec.dim) * (w @ block)
-    per_row = backward(spec, noise, tape, cost)
+        block[:] = (2.0 * scale / spec.dim) * (w @ block)  # the cost vectors
+    per_row = backward(spec, noise, tape, states)
     grads = np.array([rows.sum(axis=0) for rows in np.split(per_row, cuts)])
     return values, grads

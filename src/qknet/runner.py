@@ -153,17 +153,28 @@ def _eval_bytes(n_qubits: int, n_points: int) -> int:
     return (8 * 4**n_qubits + 8 * n_points) * n_points
 
 
-def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
-    if config.data_csv_path:
-        return load_csv(config.data_csv_path)
-    n, points = config.circuit_n_qubits, GRID**2 * config.data_points_per_cell
+def _check_eval_memory(key: str, value, n: int, points: int) -> None:
+    """Refuse a data source whose states and Gram outgrow physical memory;
+    ``key = value`` names the config entry that chose it."""
     need, physical = _eval_bytes(n, points), _physical_bytes()
     if need > physical:
         raise RunError(
-            f"data.points_per_cell = {config.data_points_per_cell} is too large:"
-            f" at circuit.n_qubits = {n} the states and Gram of its {points}"
-            f" points need {need} bytes, more than the {physical} bytes of"
-            f" physical memory")
+            f"{key} = {value} is too large: at circuit.n_qubits = {n} the"
+            f" states and Gram of its {points} points need {need} bytes, more"
+            f" than the {physical} bytes of physical memory")
+
+
+def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
+    """The run's data, refused before any partition if evaluation's states
+    and Gram of every point could not fit in physical memory."""
+    n = config.circuit_n_qubits
+    if config.data_csv_path:
+        dataset = load_csv(config.data_csv_path)
+        _check_eval_memory("data.csv_path", config.data_csv_path, n,
+                           len(dataset))
+        return dataset
+    _check_eval_memory("data.points_per_cell", config.data_points_per_cell, n,
+                       GRID**2 * config.data_points_per_cell)
     return gen_checkerboard(config.data_points_per_cell, config.data_sigma,
                             derived_seed(config.run_seed, TAG_DATA, 0, 0))
 
@@ -462,12 +473,18 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
             " rounds of subsamples the problem was prepared with")
     thetas = _init_thetas(problem)
     honest = problem.honest_ids
-    rounds = []  # (per-node metrics, honest consensus distance) of each round
+    records: list[RoundRecord] = []
     evals: list[EvalPoint] = []
     for rnd in range(cfg.run_budget):
         halves, metrics = _half_steps(problem, thetas, rnd)
+        _check_steps(rnd, halves, honest)
         thetas = _exchange(problem, halves, rnd)
-        rounds.append((metrics, dnet.consensus_distance(thetas[honest])))
+        consensus = dnet.consensus_distance(thetas[honest])
+        records += (RoundRecord(rnd, i, *(m or (None, None, None)), consensus)
+                    for i, m in enumerate(metrics))
+        error = _first_nonfinite(records[-len(metrics):])
+        if error is not None:
+            raise error
         gnorms = [m[2] for m in metrics if m is not None]
         done = (rnd == cfg.run_budget - 1
                 or math.fsum(gnorms) / len(gnorms) < cfg.run_g_thresh)
@@ -475,20 +492,15 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
             evals.append(_evaluate(problem, thetas, rnd))
         if done:
             break
-    # built after the loop: right after each engine call every operation
-    # runs on caches the simulation has just evicted
-    records = tuple(
-        RoundRecord(r, i, *(m or (None, None, None)), consensus)
-        for r, (metrics, consensus) in enumerate(rounds)
-        for i, m in enumerate(metrics))
     # the last evaluation is of the `done` round, so of the final thetas
     reports = tuple(
         evaluate_node(problem, node, thetas[node.node_id], rnd)
         if node.role == dnet.HONEST
         else ScoreReport(node.node_id, None, None, None)
         for node in problem.nodes)
-    return RunResult(mode=mode, config=cfg, thetas=thetas, records=records,
-                     evals=tuple(evals), reports=reports)
+    return RunResult(mode=mode, config=cfg, thetas=thetas,
+                     records=tuple(records), evals=tuple(evals),
+                     reports=reports)
 
 
 def run(config: ExperimentConfig, mode: str = "decentralized") -> RunResult:
@@ -503,17 +515,37 @@ def _first_crossing(evals, threshold: float) -> int | None:
     return None
 
 
+def _diverged(rnd: int, node: int, field: str, value) -> RunError:
+    return RunError(f"the run diverged: round {rnd}, node {node} has {field} ="
+                    f" {value}")
+
+
+def _first_nonfinite(records) -> RunError | None:
+    """The refusal of the first infinite or NaN field of ``records``."""
+    for rec in records:
+        for key, value in zip(rec._fields, rec):
+            if value is not None and not math.isfinite(value):
+                return _diverged(rec.round, rec.node, key, value)
+    return None
+
+
+def _check_steps(rnd: int, halves: np.ndarray, honest: list[int]) -> None:
+    """Refuse a round-``rnd`` step that left an honest node's parameters
+    infinite or NaN, before they are mixed: the exchange's checks would see
+    only the NaN of inf - inf, and a centralized run's consensus distance is
+    always 0, so its records would not show it."""
+    bad = np.argwhere(~np.isfinite(halves[honest]))
+    if len(bad):
+        i, t = bad[0]
+        raise _diverged(rnd, honest[i], f"theta[{t}]", halves[honest[i], t])
+
+
 def rounds_jsonl(result: RunResult) -> str:
     """One JSON object a line; a diverged run's infinity or NaN is refused."""
     try:
         lines = [json.dumps(r._asdict(), allow_nan=False) for r in result.records]
     except ValueError:  # JSON has no infinity or NaN
-        rec, key = next((r, k) for r in result.records
-                        for k, v in r._asdict().items()
-                        if v is not None and not math.isfinite(v))
-        raise RunError(
-            f"the run diverged: round {rec.round}, node {rec.node} has {key} ="
-            f" {getattr(rec, key)}, which JSON cannot hold") from None
+        raise _first_nonfinite(result.records) from None
     return "\n".join(lines) + "\n"
 
 

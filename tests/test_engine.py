@@ -5,6 +5,8 @@ parameter-shift rule to simulator precision; its reverse-sweep gradients
 are additionally checked against finite differences of the alignment.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,58 @@ def test_backward_leaves_cost_and_tapes_unchanged():
     # cost, gives the same gradient
     again = engine.backward(spec, noise, tape, np.asfortranarray(cost))
     assert np.array_equal(grad, again)
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes that tracemalloc saw it hold;
+    NumPy reports its array buffers to tracemalloc."""
+    call()  # the cached gathers and zero state are built outside the trace
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# (n, rows, bound without a tape, bound with one): each bound lies halfway
+# between the figures of an engine that keeps two scratch blocks without a
+# tape and one with it (3.59 and 2.59 at n = 5, 2.35 and 1.35 at n = 6) and
+# one that kept four and three (5.59 and 4.59, 4.35 and 3.35)
+@pytest.mark.parametrize("n, b, bound, taped_bound",
+                         [(5, 160, 4.59, 3.59), (6, 24, 3.35, 2.35)])
+def test_feature_states_keep_one_scratch_block(n, b, bound, taped_bound):
+    """The traced peak above the returned arrays, in 512 KiB row blocks."""
+    rng = np.random.default_rng(61)
+    spec = FeatureMapSpec(n_qubits=n, layers=8)
+    noise = NoiseModel(mode="per_gate", p=0.01)
+    theta = rng.uniform(-np.pi, np.pi, size=(b, spec.n_params))
+    x = random_batch(rng, b)
+    block = 8 * 4**n * engine._block_rows(n)
+    for record_tape, limit in ((False, bound), (True, taped_bound)):
+        (states, tape), peak = traced_peak(lambda: engine.feature_states(
+            spec, theta, x, noise, record_tape=record_tape))
+        kept = states.nbytes + sum(arr.nbytes for arr in tape or ())
+        assert (peak - kept) / block < limit, record_tape
+
+
+# each bound lies halfway between the call's figure when the reverse sweep
+# keeps one temporary and writes the cost over the states (3.21 at n = 5,
+# 3.11 at n = 6) and when it kept two plus a separate cost (5.21, 5.12)
+@pytest.mark.parametrize("n, b, bound", [(5, 160, 4.21), (6, 24, 4.12)])
+def test_multi_alignment_grads_keep_three_row_arrays(n, b, bound):
+    """The traced peak above the tape and states, in (rows, 4**n) arrays."""
+    rng = np.random.default_rng(67)
+    spec = FeatureMapSpec(n_qubits=n, layers=8)
+    noise = NoiseModel(mode="per_gate", p=0.01)
+    thetas = rng.uniform(-np.pi, np.pi, size=(2, spec.n_params))
+    xs = np.split(random_batch(rng, b), 2)
+    ys = [balanced_labels(b // 2)] * 2
+    _, peak = traced_peak(
+        lambda: engine.multi_alignment_grads(spec, thetas, xs, ys, noise))
+    row = 8 * 4**n * b
+    tape = spec.layers * (row + 8 * b * n * 16)
+    assert (peak - tape - row) / row < bound
 
 
 def test_feature_states_validate_theta_shape():

@@ -86,6 +86,26 @@ def test_a_csv_path_alone_chooses_the_csv(tmp_path):
     assert sorted(map(tuple, used)) == sorted(map(tuple, points.x))
 
 
+def test_an_oversize_csv_is_refused_before_it_is_partitioned(tmp_path, monkeypatch):
+    points = data.gen_checkerboard(2, 0.04, seed=11)
+    data.save_csv(points, tmp_path / "points.csv")
+    need = runner._eval_bytes(2, len(points))
+    monkeypatch.setattr(runner, "_physical_bytes", lambda: need - 1)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversize CSV reached partition")
+
+    monkeypatch.setattr(runner, "partition", unreachable)
+    monkeypatch.setattr(runner, "train_test_split", unreachable)
+    with pytest.raises(runner.RunError,
+                       match=rf"data.csv_path = .*points.csv is too large: at"
+                             rf" circuit.n_qubits = 2 the states and Gram of its"
+                             rf" {len(points)} points need {need} bytes"):
+        runner.prepare_problem(
+            tiny_config(data_csv_path=str(tmp_path / "points.csv")),
+            "decentralized")
+
+
 def test_prepare_problem_rejects_bad_modes_and_roles():
     with pytest.raises(runner.RunError):
         runner.prepare_problem(tiny_config(), "federated")
@@ -450,16 +470,28 @@ def test_run_reads_the_prepared_schedule_up_to_its_budget():
 
 
 WARM_RUN_FAULTS = """
+import ast
 import resource
+import sys
 from qknet import runner
 from qknet.config import ExperimentConfig
+overrides = ast.literal_eval(sys.argv[1])
 problem = runner.prepare_problem(
-    ExperimentConfig(run_budget=5, run_eval_every=101), "decentralized")
+    ExperimentConfig(run_budget=5, run_eval_every=101, **overrides),
+    "decentralized")
 runner.run_problem(problem, "decentralized")
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 runner.run_problem(problem, "decentralized")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+def warm_run_faults(fresh_python, overrides) -> int:
+    """Minor page faults of a warm 5-round run, in a fresh process."""
+    pytest.importorskip("resource")
+    proc = fresh_python("-c", WARM_RUN_FAULTS, repr(overrides))
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -473,10 +505,20 @@ def test_a_warm_run_faults_no_memory_back_in(fresh_python):
     fresh process, since malloc stops trimming once the process has freed
     a larger mapped block, as a test session has.
     """
-    pytest.importorskip("resource")
-    proc = fresh_python("-c", WARM_RUN_FAULTS)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1000
+    assert warm_run_faults(fresh_python, {}) < 1000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux does")
+def test_a_warm_six_qubit_run_faults_no_memory_back_in(fresh_python):
+    """The same at D = 64, in 16-row blocks, with two noise groups, an
+    attacker and clipping: where the engine's allocation sizes differ most
+    from the default circuit's."""
+    assert warm_run_faults(fresh_python, {
+        "circuit_n_qubits": 6,
+        "nodes_roles": ("honest", "honest", "gaussian_attacker", "honest"),
+        "nodes_noise_p": (0.0005, 0.0005, 0.0005, 0.05),
+        "aggregation_rule": "robust_clip"}) < 1000
 
 
 def test_evaluate_node_matches_separate_score_calls():
@@ -537,11 +579,38 @@ def test_rounds_jsonl_schema():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_rounds_jsonl_refuses_a_diverged_run():
     # eta = 1e300 sends the angles near the float limit, where the
-    # consensus distance's norm overflows
-    result = runner.run(tiny_config(circuit_layers=1, nodes_eta=(1e300,)))
+    # consensus distance's norm overflows; the run stops at that round
     with pytest.raises(runner.RunError,
                        match="round 0, node 0 has consensus_dist = inf"):
+        runner.run(tiny_config(circuit_layers=1, nodes_eta=(1e300,)))
+    # a result that holds one anyway is still refused when it is written
+    records = (runner.RoundRecord(0, 0, -0.5, 0.5, 0.1, 0.0),
+               runner.RoundRecord(1, 0, -0.5, float("nan"), 0.1, 0.0))
+    result = runner.RunResult("centralized", tiny_config(), np.zeros((1, 4)),
+                              records, (), ())
+    with pytest.raises(runner.RunError,
+                       match="the run diverged: round 1, node 0 has alignment = nan"):
         runner.rounds_jsonl(result)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_centralized_run_that_diverges_stops_before_it_is_evaluated(monkeypatch):
+    """A centralized run's consensus distance is always 0, so only its
+    parameters show that a step overflowed them."""
+    steep = engine.multi_alignment_grads
+
+    def steeper(*args):  # alignment gradients stay below 1 at any angle
+        values, grads = steep(*args)
+        return values, 1e20 * grads
+
+    evaluated = []
+    monkeypatch.setattr(engine, "multi_alignment_grads", steeper)
+    monkeypatch.setattr(runner, "_evaluate", lambda *args: evaluated.append(args))
+    with pytest.raises(runner.RunError,
+                       match=r"the run diverged: round 0, node 0 has"
+                             r" theta\[\d+\] = -?inf"):
+        runner.run(tiny_config(nodes_eta=(1e300,)), "centralized")
+    assert evaluated == []
 
 
 def test_scores_json_echoes_config():
