@@ -14,9 +14,9 @@ from qknet import dnet
 def mix(topology, rounds, rng):
     weights = dnet.metropolis_weights(topology)
     gap = dnet.spectral_gap(weights)
-    thetas = rng.normal(size=(topology.n_nodes, 6))
+    thetas = rng.normal(size=(len(weights), 6))
     mean0 = thetas.mean(axis=0)
-    print(f"{topology.n_nodes}-node graph, spectral gap {gap:.4f}:")
+    print(f"{len(weights)}-node graph, spectral gap {gap:.4f}:")
     print(f"  {'round':>5} {'disagreement':>13} {'ratio':>7}")
     prev = dnet.consensus_distance(thetas)
     for rnd in range(rounds):

@@ -48,10 +48,6 @@ class Topology:
         adjacency.flags.writeable = False
         object.__setattr__(self, "adjacency", adjacency)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.adjacency)
-
     def neighbors(self, i: int) -> list:
         return np.flatnonzero(self.adjacency[i]).tolist()
 

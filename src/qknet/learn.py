@@ -52,12 +52,22 @@ def alignment(k: np.ndarray, labels) -> float:
         raise LearnError(str(exc)) from None
 
 
+def _scaled_norm(a: np.ndarray) -> tuple[float, float]:
+    """The Frobenius norm of ``a`` as a pair (m, |a / m|) with m its largest
+    magnitude, so that neither factor overflows or underflows where the norm
+    itself would, as at an extreme lambda."""
+    m = float(np.abs(a).max()) or 1.0
+    return m, float(np.linalg.norm(a / m))
+
+
 def fit_ridge(k: np.ndarray, labels, lam: float = 0.1) -> np.ndarray:
     """Dual weights alpha of (K + lam I) alpha = y.
 
     The solve is checked by its normwise backward error: the residual may be
     at most n * eps * (|K + lam I|_F |alpha| + |y|), the bound a backward
     stable solver meets however ill-conditioned the system; a NaN fails.
+    A singular K + lam I, as when lam vanishes beside a rank-deficient K,
+    is refused.
     """
     if not lam > 0:
         raise LearnError("lambda must be positive")
@@ -66,10 +76,15 @@ def fit_ridge(k: np.ndarray, labels, lam: float = 0.1) -> np.ndarray:
     if k.shape != (n, n):
         raise LearnError("Gram size must match labels")
     system = k + lam * np.eye(n)
-    alpha = np.linalg.solve(system, y)
+    try:
+        alpha = np.linalg.solve(system, y)
+    except np.linalg.LinAlgError:
+        raise LearnError(
+            "K + lambda I is singular; a larger lambda regularizes it") from None
     residual = float(np.linalg.norm(system @ alpha - y))
+    (s_sys, n_sys), (s_alpha, n_alpha) = _scaled_norm(system), _scaled_norm(alpha)
     bound = n * np.finfo(float).eps * (
-        np.linalg.norm(system) * np.linalg.norm(alpha) + np.linalg.norm(y))
+        s_sys * s_alpha * (n_sys * n_alpha) + np.linalg.norm(y))
     if not residual <= bound:
         raise LearnError(f"ridge solve residual {residual:.2e} above {bound:.2e}")
     return alpha

@@ -148,33 +148,15 @@ def _physical_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _eval_bytes(n_qubits: int, n_points: int) -> int:
-    """Bytes of every point's state and their Gram, built at once."""
-    return (8 * 4**n_qubits + 8 * n_points) * n_points
-
-
-def _check_eval_memory(key: str, value, n: int, points: int) -> None:
-    """Refuse a data source whose states and Gram outgrow physical memory;
-    ``key = value`` names the config entry that chose it."""
-    need, physical = _eval_bytes(n, points), _physical_bytes()
-    if need > physical:
-        raise RunError(
-            f"{key} = {value} is too large: at circuit.n_qubits = {n} the"
-            f" states and Gram of its {points} points need {need} bytes, more"
-            f" than the {physical} bytes of physical memory")
-
-
 def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
-    """The run's data, refused before any partition if evaluation's states
-    and Gram of every point could not fit in physical memory."""
-    n = config.circuit_n_qubits
+    """The run's data, refused by ``_check_memory`` before a checkerboard is
+    drawn or a CSV partitioned; with no nodes yet, only the states and Gram
+    of every point count."""
     if config.data_csv_path:
         dataset = load_csv(config.data_csv_path)
-        _check_eval_memory("data.csv_path", config.data_csv_path, n,
-                           len(dataset))
+        _check_memory(config, (), len(dataset))
         return dataset
-    _check_eval_memory("data.points_per_cell", config.data_points_per_cell, n,
-                       GRID**2 * config.data_points_per_cell)
+    _check_memory(config, (), GRID**2 * config.data_points_per_cell)
     return gen_checkerboard(config.data_points_per_cell, config.data_sigma,
                             derived_seed(config.run_seed, TAG_DATA, 0, 0))
 
@@ -208,14 +190,17 @@ def _check_memory(config: ExperimentConfig, nodes, n_points: int) -> None:
     n, layers = config.circuit_n_qubits, config.circuit_layers
     arrays = (8 * len(nodes) * n * layers
               + 8 * 4**n * layers * max(batches, default=0)
-              + _eval_bytes(n, n_points))
+              + (8 * 4**n + 8 * n_points) * n_points)
     schedule = _schedule_bytes(nodes, config.run_budget)
     physical = _physical_bytes()
     if arrays + schedule > physical:
+        source = (f"data.csv_path = {config.data_csv_path}"
+                  if config.data_csv_path else
+                  f"data.points_per_cell = {config.data_points_per_cell}")
         raise RunError(
-            f"circuit.n_qubits = {n} and circuit.layers = {layers} on"
-            f" {n_points} points need {arrays} bytes of parameters, states and"
-            f" Gram, and run.budget = {config.run_budget} needs {schedule}"
+            f"{source}, circuit.n_qubits = {n} and circuit.layers = {layers}"
+            f" on {n_points} points need {arrays} bytes of parameters, states"
+            f" and Gram, and run.budget = {config.run_budget} needs {schedule}"
             f" bytes of subsample schedule, more than the {physical} bytes of"
             f" physical memory")
 
@@ -227,8 +212,8 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     global train/test sets are the local splits in node order, so no node's
     test point ever appears in any training set and each node's rows are one
     contiguous block of each global set. Each node reads its entry of the
-    ``nodes.*`` keys; a centralized run pools every point in one honest node,
-    which reads entry 0, and ignores ``network.n_nodes``.
+    ``nodes.*`` keys; a centralized run partitions every point to one honest
+    node, which reads entry 0, and ignores ``network.n_nodes``.
     """
     if mode not in MODES:
         raise RunError(f"unknown mode {mode!r}")
@@ -236,16 +221,15 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     n_nodes = 1 if mode == "centralized" else config.network_n_nodes
     master = config.run_seed
 
-    if n_nodes == 1:
-        parts = [np.arange(len(dataset))]
-    else:
-        try:
-            parts = partition(dataset, config.partition_strategy, n_nodes,
-                              derived_seed(master, TAG_DATA, 1, 0))
-        except DataError as exc:
-            raise RunError(
-                f"partition.strategy = {config.partition_strategy} cannot split"
-                f" the data over network.n_nodes = {n_nodes}: {exc}") from exc
+    try:
+        parts = partition(dataset, config.partition_strategy, n_nodes,
+                          derived_seed(master, TAG_DATA, 1, 0))
+    except DataError as exc:
+        over = ("one node" if mode == "centralized"
+                else f"network.n_nodes = {n_nodes}")
+        raise RunError(
+            f"partition.strategy = {config.partition_strategy} cannot split"
+            f" the data over {over}: {exc}") from exc
 
     if mode == "local" and any(r != dnet.HONEST for r in config.nodes_roles):
         raise RunError("local mode trains every node; roles must be honest")

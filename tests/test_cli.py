@@ -151,13 +151,17 @@ def _assert_one_error_line(code, capsys, message):
          "eval.shots must be 0 (exact) or a positive count below 2**63"),
         (SMALL_CONFIG.replace("data.points_per_cell = 2",
                               "data.points_per_cell = 1000000000000000"),
-         "bad.cfg", [], "points_per_cell = 1000000000000000 is too large"),
+         "bad.cfg", [], "data.points_per_cell = 1000000000000000, circuit.n_qubits"
+         " = 2 and circuit.layers = 2 on 16000000000000000 points need"),
         (SMALL_CONFIG.replace("circuit.layers = 2",
                               "circuit.layers = 100000000000000"),
          "bad.cfg", [], "circuit.layers = 100000000000000 on 32 points need"),
         (SMALL_CONFIG + "data.csv_path = left.csv\n",
          "bad.cfg", [], "partition.strategy = region cannot split the data over"
          " network.n_nodes = 4: a node received no data"),
+        ("circuit.n_qubits = 2\ncircuit.layers = 1\nrun.budget = 2\n"
+         "nodes.noise_p = 1.0\nridge.lam = 1e-300\n", "bad.cfg", [],
+         "ridge.lam = 1e-300: K + lambda I is singular"),
         pytest.param(SMALL_CONFIG + "nodes.eta = 1e300\n", "bad.cfg", [],
                      "the run diverged: round 0, node 0 has consensus_dist = inf",
                      marks=pytest.mark.filterwarnings("ignore:overflow")),
@@ -166,7 +170,7 @@ def _assert_one_error_line(code, capsys, message):
          "missing_csv", "negative_config_seed", "negative_seed_flag",
          "tiny_test_fraction", "two_node_ring", "huge_budget", "huge_shots",
          "huge_points_per_cell", "huge_circuit", "node_without_data",
-         "diverged_run"],
+         "singular_ridge", "diverged_run"],
 )
 def test_run_reports_a_bad_config_as_one_error_line(tmp_path, monkeypatch, capsys,
                                                     text, config, flags, message):

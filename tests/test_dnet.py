@@ -16,7 +16,7 @@ def _adjacency(n, edges):
 def test_topology_validates_its_adjacency():
     path = _adjacency(3, [(1, 0), (2, 1)])
     top = dnet.Topology(path)
-    assert top.n_nodes == 3
+    assert len(top.adjacency) == 3
     assert not top.adjacency.flags.writeable
     path[0, 2] = path[2, 0] = True  # the topology holds its own copy
     assert top.neighbors(0) == [1]
@@ -53,7 +53,7 @@ def test_neighbors_are_sorted_and_degrees_consistent():
 def test_ring_and_complete_shapes():
     assert dnet.ring(4).adjacency.sum() == 2 * 4
     assert dnet.complete(5).adjacency.sum() == 2 * 10
-    assert dnet.complete(1).n_nodes == 1
+    assert len(dnet.complete(1).adjacency) == 1
     assert not dnet.complete(1).adjacency.any()
     with pytest.raises(dnet.NetError):
         dnet.ring(2)
@@ -100,7 +100,7 @@ def test_metropolis_weights_match_a_per_edge_loop_bit_for_bit():
             + [dnet.complete(n) for n in range(1, 9)]
             + list(_random_connected_graphs()))
     for top in tops:
-        n = top.n_nodes
+        n = len(top.adjacency)
         degree = [len(top.neighbors(i)) for i in range(n)]
         want = np.zeros((n, n))
         for a in range(n):
@@ -137,7 +137,7 @@ def test_consensus_iteration_contracts_at_the_spectral_gap():
     for top in (dnet.ring(4), dnet.ring(6), dnet.complete(5)):
         w = dnet.metropolis_weights(top)
         rate = dnet.spectral_gap(w)
-        x = rng.normal(size=(top.n_nodes, 3))
+        x = rng.normal(size=(len(top.adjacency), 3))
         mean0 = x.mean(axis=0)
         for _ in range(30):
             x = w @ x

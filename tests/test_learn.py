@@ -141,6 +141,24 @@ def test_fit_ridge_accepts_tiny_lambda_on_a_low_rank_gram():
         assert backward < 1e-15
 
 
+def test_fit_ridge_refuses_a_singular_system():
+    # fully depolarized states give every kernel value 1/D, a rank-one K;
+    # a lambda below its rounding leaves K + lam I exactly singular
+    with pytest.raises(learn.LearnError, match="singular"):
+        learn.fit_ridge(np.full((4, 4), 0.25), [1, -1, 1, -1], lam=1e-300)
+
+
+def test_fit_ridge_checks_a_huge_lambda_without_overflow():
+    # |K + lam I|_F overflows past lam ~ 1e154 and |alpha| underflows past
+    # lam ~ 1e160, so the unscaled bound would be inf or NaN there
+    rng = np.random.default_rng(43)
+    k = random_psd_gram(rng, 6)
+    y = balanced_labels(rng, 6).astype(float)
+    for lam in (1e160, 1e200, 1e300):
+        alpha = learn.fit_ridge(k, y, lam=lam)
+        assert np.allclose(alpha * lam, y, rtol=1e-12, atol=0)
+
+
 def test_fit_ridge_validates_inputs():
     with pytest.raises(learn.LearnError):
         learn.fit_ridge(np.eye(3), [1, -1, 1], lam=0.0)

@@ -77,6 +77,34 @@ def test_prepare_problem_centralized_pools_everything():
     assert [(n.node_id, n.role) for n in problem.nodes] == [(0, dnet.HONEST)]
 
 
+@pytest.mark.parametrize("strategy", ["region", "random"])
+def test_a_centralized_problem_is_a_one_node_network(strategy):
+    cfg = tiny_config(partition_strategy=strategy)
+    cen = runner.prepare_problem(cfg, "centralized")
+    one = runner.prepare_problem(
+        replace(cfg, network_n_nodes=1, network_topology="complete"),
+        "decentralized")
+    for a, b in ((cen.global_train, one.global_train),
+                 (cen.global_test, one.global_test)):
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+    assert [(n.train_rows, n.test_rows) for n in cen.nodes] == [
+        (n.train_rows, n.test_rows) for n in one.nodes]
+    assert cen.weights.tolist() == one.weights.tolist() == [[1.0]]
+
+
+def test_every_mode_refuses_a_single_label_csv(tmp_path):
+    path = tmp_path / "ones.csv"
+    path.write_text("".join(f"{x},{y},1\n" for x in (0.1, 0.4, 0.6, 0.9)
+                            for y in (0.1, 0.4, 0.6, 0.9)))
+    cfg = tiny_config(data_csv_path=str(path))
+    for mode in ("decentralized", "centralized", "local"):
+        with pytest.raises(runner.RunError,
+                           match="partition.strategy = region cannot split") as exc:
+            runner.prepare_problem(cfg, mode)
+        # a centralized run ignores network.n_nodes, so it must not cite it
+        assert ("network.n_nodes" in str(exc.value)) == (mode != "centralized")
+
+
 def test_a_csv_path_alone_chooses_the_csv(tmp_path):
     points = data.gen_checkerboard(2, 0.04, seed=11)
     data.save_csv(points, tmp_path / "points.csv")
@@ -89,7 +117,8 @@ def test_a_csv_path_alone_chooses_the_csv(tmp_path):
 def test_an_oversize_csv_is_refused_before_it_is_partitioned(tmp_path, monkeypatch):
     points = data.gen_checkerboard(2, 0.04, seed=11)
     data.save_csv(points, tmp_path / "points.csv")
-    need = runner._eval_bytes(2, len(points))
+    # the states and Gram of every point: 8 * 4**2 and 8 * points bytes each
+    need = (8 * 4**2 + 8 * len(points)) * len(points)
     monkeypatch.setattr(runner, "_physical_bytes", lambda: need - 1)
 
     def unreachable(*args, **kwargs):
@@ -98,9 +127,9 @@ def test_an_oversize_csv_is_refused_before_it_is_partitioned(tmp_path, monkeypat
     monkeypatch.setattr(runner, "partition", unreachable)
     monkeypatch.setattr(runner, "train_test_split", unreachable)
     with pytest.raises(runner.RunError,
-                       match=rf"data.csv_path = .*points.csv is too large: at"
-                             rf" circuit.n_qubits = 2 the states and Gram of its"
-                             rf" {len(points)} points need {need} bytes"):
+                       match=rf"data.csv_path = .*points.csv, circuit.n_qubits"
+                             rf" = 2 and circuit.layers = 2 on {len(points)}"
+                             rf" points need {need} bytes"):
         runner.prepare_problem(
             tiny_config(data_csv_path=str(tmp_path / "points.csv")),
             "decentralized")
@@ -439,8 +468,8 @@ def test_an_oversize_checkerboard_is_refused_before_it_is_drawn(monkeypatch):
         raise AssertionError("the checkerboard was drawn")
 
     monkeypatch.setattr(runner, "gen_checkerboard", draw)
-    with pytest.raises(runner.RunError, match=r"data.points_per_cell = 1000000 "
-                       r"is too large: at circuit.n_qubits = 2 .* its 16000000"
+    with pytest.raises(runner.RunError, match=r"data.points_per_cell = 1000000, "
+                       r"circuit.n_qubits = 2 .* on 16000000"
                        r" points need 2048002048000000 bytes"):
         runner.prepare_problem(tiny_config(data_points_per_cell=10**6),
                                "decentralized")
