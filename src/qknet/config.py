@@ -8,6 +8,7 @@ fields accept either a single value or one comma-separated value per node.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -92,8 +93,10 @@ class ExperimentConfig:
             raise ConfigError("nodes.eta entries must be non-negative")
         if any(q < 1 for q in self.nodes_subsample):
             raise ConfigError("nodes.subsample entries must be at least 1")
-        if self.init_scale < 0.0:
-            raise ConfigError("init.scale must be non-negative")
+        # the initial draw is uniform over a range of 2 * init.scale
+        if not 0.0 <= self.init_scale <= sys.float_info.max / 2:
+            raise ConfigError(
+                f"init.scale must lie in [0, {sys.float_info.max / 2}]")
         if not self.ridge_lam > 0.0:
             raise ConfigError("ridge.lam must be positive")
         if not 0.0 <= self.run_threshold <= 1.0:

@@ -62,10 +62,9 @@ def cell_label(col: int, row: int) -> int:
 
 
 def cell_of(points):
-    """The (col, row) cell of one point, or the (n, 2) cells of n points; a
-    coordinate outside [0, 1) falls in the nearest cell."""
-    cells = np.clip(np.asarray(points)[..., :2] / CELL, 0, GRID - 1).astype(int)
-    return tuple(cells.tolist()) if cells.ndim == 1 else cells
+    """The int (col, row) cells of ``points``, one pair along the last axis;
+    a coordinate outside [0, 1) falls in the nearest cell."""
+    return np.clip(np.asarray(points)[..., :2] / CELL, 0, GRID - 1).astype(int)
 
 
 def gen_checkerboard(points_per_cell: int = 10, sigma: float = 0.04,

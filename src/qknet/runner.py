@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -217,6 +217,8 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
     """
     if mode not in MODES:
         raise RunError(f"unknown mode {mode!r}")
+    if mode == "local" and any(r != dnet.HONEST for r in config.nodes_roles):
+        raise RunError("local mode trains every node; roles must be honest")
     dataset = _load_dataset(config)
     n_nodes = 1 if mode == "centralized" else config.network_n_nodes
     master = config.run_seed
@@ -230,9 +232,6 @@ def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:
         raise RunError(
             f"partition.strategy = {config.partition_strategy} cannot split"
             f" the data over {over}: {exc}") from exc
-
-    if mode == "local" and any(r != dnet.HONEST for r in config.nodes_roles):
-        raise RunError("local mode trains every node; roles must be honest")
 
     nodes = []
     train_idx, test_idx = [], []
@@ -336,7 +335,10 @@ def _half_steps(problem: Problem, thetas: np.ndarray, rnd: int):
 
     The honest nodes sharing a noise model, in order of first appearance,
     share one batched simulation of their round-``rnd`` subsamples. Rows of
-    nodes that are not honest keep their stored parameters.
+    nodes that are not honest keep their stored parameters. A step that left
+    an honest node's parameters infinite or NaN is refused before they are
+    mixed: the exchange would see only the NaN of inf - inf, and a
+    centralized run's consensus distance is always 0.
     """
     train = problem.global_train
     halves = thetas.copy()
@@ -352,6 +354,9 @@ def _half_steps(problem: Problem, thetas: np.ndarray, rnd: int):
         for node, a, g in zip(nodes, values, grads):
             halves[node.node_id] += node.eta * g
             metrics[node.node_id] = (-a, a, math.sqrt(float(g @ g)))
+    for i, t in np.argwhere(~np.isfinite(halves)):
+        if problem.nodes[i].role == dnet.HONEST:
+            _diverged(rnd, i, f"theta[{t}]", halves[i, t])
     return halves, metrics
 
 
@@ -461,14 +466,11 @@ def run_problem(problem: Problem, mode: str) -> RunResult:
     evals: list[EvalPoint] = []
     for rnd in range(cfg.run_budget):
         halves, metrics = _half_steps(problem, thetas, rnd)
-        _check_steps(rnd, halves, honest)
         thetas = _exchange(problem, halves, rnd)
         consensus = dnet.consensus_distance(thetas[honest])
         records += (RoundRecord(rnd, i, *(m or (None, None, None)), consensus)
                     for i, m in enumerate(metrics))
-        error = _first_nonfinite(records[-len(metrics):])
-        if error is not None:
-            raise error
+        _refuse_nonfinite(records[-len(metrics):])
         gnorms = [m[2] for m in metrics if m is not None]
         done = (rnd == cfg.run_budget - 1
                 or math.fsum(gnorms) / len(gnorms) < cfg.run_g_thresh)
@@ -499,29 +501,17 @@ def _first_crossing(evals, threshold: float) -> int | None:
     return None
 
 
-def _diverged(rnd: int, node: int, field: str, value) -> RunError:
-    return RunError(f"the run diverged: round {rnd}, node {node} has {field} ="
-                    f" {value}")
+def _diverged(rnd: int, node: int, field: str, value) -> NoReturn:
+    raise RunError(f"the run diverged: round {rnd}, node {node} has {field} ="
+                   f" {value}")
 
 
-def _first_nonfinite(records) -> RunError | None:
-    """The refusal of the first infinite or NaN field of ``records``."""
+def _refuse_nonfinite(records) -> None:
+    """Refuse the first infinite or NaN field of ``records``."""
     for rec in records:
         for key, value in zip(rec._fields, rec):
             if value is not None and not math.isfinite(value):
-                return _diverged(rec.round, rec.node, key, value)
-    return None
-
-
-def _check_steps(rnd: int, halves: np.ndarray, honest: list[int]) -> None:
-    """Refuse a round-``rnd`` step that left an honest node's parameters
-    infinite or NaN, before they are mixed: the exchange's checks would see
-    only the NaN of inf - inf, and a centralized run's consensus distance is
-    always 0, so its records would not show it."""
-    bad = np.argwhere(~np.isfinite(halves[honest]))
-    if len(bad):
-        i, t = bad[0]
-        raise _diverged(rnd, honest[i], f"theta[{t}]", halves[honest[i], t])
+                _diverged(rec.round, rec.node, key, value)
 
 
 def rounds_jsonl(result: RunResult) -> str:
@@ -529,7 +519,8 @@ def rounds_jsonl(result: RunResult) -> str:
     try:
         lines = [json.dumps(r._asdict(), allow_nan=False) for r in result.records]
     except ValueError:  # JSON has no infinity or NaN
-        raise _first_nonfinite(result.records) from None
+        _refuse_nonfinite(result.records)
+        raise
     return "\n".join(lines) + "\n"
 
 

@@ -162,6 +162,8 @@ def _assert_one_error_line(code, capsys, message):
         ("circuit.n_qubits = 2\ncircuit.layers = 1\nrun.budget = 2\n"
          "nodes.noise_p = 1.0\nridge.lam = 1e-300\n", "bad.cfg", [],
          "ridge.lam = 1e-300: K + lambda I is singular"),
+        ("circuit.n_qubits = 2\ncircuit.layers = 1\nrun.budget = 2\n"
+         "init.scale = 9e307\n", "bad.cfg", [], "init.scale must lie in [0, "),
         pytest.param(SMALL_CONFIG + "nodes.eta = 1e300\n", "bad.cfg", [],
                      "the run diverged: round 0, node 0 has consensus_dist = inf",
                      marks=pytest.mark.filterwarnings("ignore:overflow")),
@@ -170,7 +172,7 @@ def _assert_one_error_line(code, capsys, message):
          "missing_csv", "negative_config_seed", "negative_seed_flag",
          "tiny_test_fraction", "two_node_ring", "huge_budget", "huge_shots",
          "huge_points_per_cell", "huge_circuit", "node_without_data",
-         "singular_ridge", "diverged_run"],
+         "singular_ridge", "huge_init_scale", "diverged_run"],
 )
 def test_run_reports_a_bad_config_as_one_error_line(tmp_path, monkeypatch, capsys,
                                                     text, config, flags, message):

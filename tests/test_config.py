@@ -122,6 +122,7 @@ def test_validation_catches_bad_fields():
         ("nodes.eta = 0.2, 0.2, nan, 0.2", "nodes.eta"),
         ("init.scale = nan", "init.scale"),
         ("init.scale = inf", "init.scale"),
+        ("init.scale = 1e308", "init.scale"),
         ("run.g_thresh = nan", "run.g_thresh"),
         ("run.g_thresh = inf", "run.g_thresh"),
         ("aggregation.tau = inf", "aggregation.tau"),

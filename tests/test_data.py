@@ -51,7 +51,7 @@ def test_cell_geometry():
     assert np.allclose(data.cell_center(3, 2), [0.875, 0.625])
     for col in range(4):
         for row in range(4):
-            assert data.cell_of(data.cell_center(col, row)) == (col, row)
+            assert tuple(data.cell_of(data.cell_center(col, row))) == (col, row)
 
 
 def test_cell_label_parity():
@@ -65,9 +65,9 @@ def test_cell_label_parity():
 
 
 def test_cell_of_boundary_points():
-    assert data.cell_of([1.0, 1.0]) == (3, 3)
-    assert data.cell_of([0.0, 0.0]) == (0, 0)
-    assert data.cell_of([0.25, 0.5]) == (1, 2)
+    assert tuple(data.cell_of([1.0, 1.0])) == (3, 3)
+    assert tuple(data.cell_of([0.0, 0.0])) == (0, 0)
+    assert tuple(data.cell_of([0.25, 0.5])) == (1, 2)
 
 
 def test_checkerboard_generation_counts_and_range():
@@ -183,7 +183,7 @@ def test_region_partition_covers_points_outside_the_unit_square():
     x = ds.x.copy()
     x[0], x[1] = (-0.5, 0.1), (1.7, -3.0)
     outside = LabeledDataset(x, ds.y)
-    assert data.cell_of(x[0]) == (0, 0) and data.cell_of(x[1]) == (3, 0)
+    assert tuple(data.cell_of(x[0])) == (0, 0) and tuple(data.cell_of(x[1])) == (3, 0)
     parts = data.partition(outside, strategy="region", n_nodes=4)
     assert partition_is_disjoint_cover(parts, 48)
 

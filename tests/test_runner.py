@@ -139,8 +139,9 @@ def test_prepare_problem_rejects_bad_modes_and_roles():
     with pytest.raises(runner.RunError):
         runner.prepare_problem(tiny_config(), "federated")
     cfg = tiny_config(nodes_roles=("honest", "honest", "signflip_attacker", "honest"))
-    with pytest.raises(runner.RunError):
-        runner.prepare_problem(cfg, "local")
+    # refused from the config alone, before any data is read
+    with pytest.raises(runner.RunError, match="local mode trains every node"):
+        runner.prepare_problem(replace(cfg, data_csv_path="no/such.csv"), "local")
     problem = runner.prepare_problem(cfg, "decentralized")
     for mode in ("bogus", "local"):
         with pytest.raises(runner.RunError, match="prepared for mode"):
@@ -640,6 +641,25 @@ def test_a_centralized_run_that_diverges_stops_before_it_is_evaluated(monkeypatc
                              r" theta\[\d+\] = -?inf"):
         runner.run(tiny_config(nodes_eta=(1e300,)), "centralized")
     assert evaluated == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_half_steps_refuse_a_non_finite_step(monkeypatch):
+    """Round loops driven by hand, as in criterion 06 and the attack demo,
+    call _half_steps alone and get the same refusal as run_problem."""
+    steep = engine.multi_alignment_grads
+
+    def steeper(*args):
+        values, grads = steep(*args)
+        return values, 1e20 * grads
+
+    monkeypatch.setattr(engine, "multi_alignment_grads", steeper)
+    problem = runner.prepare_problem(
+        tiny_config(nodes_eta=(0.2, 0.2, 1e300, 0.2)), "decentralized")
+    with pytest.raises(runner.RunError,
+                       match=r"the run diverged: round 1, node 2 has"
+                             r" theta\[\d+\] = -?inf"):
+        runner._half_steps(problem, runner._init_thetas(problem), 1)
 
 
 def test_scores_json_echoes_config():
