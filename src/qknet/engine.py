@@ -51,9 +51,13 @@ returned states, and the reverse sweep into its gather buffer; the next
 wall reads those rows and takes them as its second temporary, so a call
 keeps one scratch row block beside what it returns (two without a tape,
 whose wall output is scratch too). The training call writes its cost
-vectors over the states, which nothing reads afterwards. Each call
-allocates its own scratch, states and tape arrays, so tapes from two calls
-never share memory.
+vectors over the states, which nothing reads afterwards. An evaluation
+keeps only the training states: `train_test_grams` simulates the test rows
+one row block at a time, turns each block into its rows of the cross Gram
+and frees it before the next, so its largest array is the training states
+rather than the states of every point. Each call allocates its own
+scratch, states and tape arrays, so tapes from two calls never share
+memory.
 
 Gradients come from one reverse sweep per batch (adjoint-state method; Jones
 & Gacon, arXiv:2009.02823) instead of per-parameter shifted evaluations. Both
@@ -345,9 +349,12 @@ def feature_states(
     return states, (sigma, walls) if record_tape else None
 
 
-def gram_from_states(states: np.ndarray) -> np.ndarray:
-    """Gram K[i, j] = c(i) . c(j) / D of (rows, 4**n) states, clipped to [0, 1]."""
-    k = states @ states.T
+def gram_from_states(states: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """Gram K[i, j] = c(i) . c'(j) / D of (rows, 4**n) states, clipped to [0, 1].
+
+    ``c'`` are the rows of ``other``, by default ``states`` themselves.
+    """
+    k = states @ (states if other is None else other).T
     k /= math.isqrt(states.shape[1])
     return np.clip(k, 0.0, 1.0, out=k)
 
@@ -394,15 +401,45 @@ def backward(
     return grad
 
 
-def gram_matrix(spec: FeatureMapSpec, theta, x, noise: NoiseModel) -> np.ndarray:
-    """Full Gram matrix, diagonal included, as exact expectation values.
+def train_test_grams(
+    spec: FeatureMapSpec, theta, x_train, x_test, noise: NoiseModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The train Gram and the test-by-train cross Gram, as exact expectations.
 
-    One forward simulation and the state overlaps serve both noise kinds,
-    since per-gate noise is always mirrored in the uncompute half.
+    ``theta`` is one parameter vector, or one per row of ``x_train`` followed
+    by ``x_test``. The training states are simulated and kept; the test rows
+    are simulated ``_block_rows(n)`` at a time, and each block becomes its
+    rows of the cross Gram and is freed before the next is simulated. The
+    test-by-test block is never computed. One forward simulation and the
+    state overlaps serve both noise kinds, since per-gate noise is always
+    mirrored in the uncompute half.
     """
+    theta = np.asarray(theta, dtype=float)
+    x_train, x_test = (np.atleast_2d(np.asarray(x, dtype=float))
+                       for x in (x_train, x_test))
+    n_train, n_test = len(x_train), len(x_test)
+    _check_theta(spec, theta, n_train + n_test)
+
+    def rows(lo, hi):  # the parameters of the stacked rows lo:hi
+        return theta[lo:hi] if theta.ndim == 2 else theta
+
+    train, _ = feature_states(spec, rows(0, n_train), x_train, noise)
+    k_cross = np.empty((n_test, n_train))
+    step = _block_rows(spec.n_qubits)
+    for lo in range(0, n_test, step):
+        hi = min(lo + step, n_test)
+        # one statement, so the block's states are freed before the next;
+        # BLAS runs the (train, block) product faster than (block, train)
+        k_cross[lo:hi] = gram_from_states(train, feature_states(
+            spec, rows(n_train + lo, n_train + hi), x_test[lo:hi], noise)[0]).T
+    return tuple(analytic_noisy_kernel(k, noise.global_p, spec.dim)
+                 for k in (gram_from_states(train), k_cross))
+
+
+def gram_matrix(spec: FeatureMapSpec, theta, x, noise: NoiseModel) -> np.ndarray:
+    """Full Gram matrix, diagonal included, as exact expectation values."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    states, _ = feature_states(spec, theta, x, noise)
-    return analytic_noisy_kernel(gram_from_states(states), noise.global_p, spec.dim)
+    return train_test_grams(spec, theta, x, x[:0], noise)[0]
 
 
 def _alignment_weights(k: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

@@ -107,7 +107,7 @@ def score(spec: FeatureMapSpec, theta, train: LabeledDataset,
     then the cross Gram; 0 keeps the exact expectations.
 
     `splits` is a sequence of (train rows, test rows) index pairs into `train`
-    and `test`. With it, one simulation of both sets serves every split and
+    and `test`. With it, one simulation of each set serves every split and
     the result is one accuracy per split, each as if `score` had been called
     on those subsets in turn (shot draws included, in split order).
     """
@@ -115,9 +115,7 @@ def score(spec: FeatureMapSpec, theta, train: LabeledDataset,
         raise LearnError("empty train or test set")
     if shots and rng is None:
         raise LearnError("shot sampling needs an rng")
-    k = engine.gram_matrix(spec, theta, np.vstack([train.x, test.x]), noise)
-    n = len(train)
-    k_train, k_cross = k[:n, :n], k[n:, :n]
+    k_train, k_cross = engine.train_test_grams(spec, theta, train.x, test.x, noise)
     whole = splits is None
     if whole:
         splits = [(range(len(train)), range(len(test)))]

@@ -182,8 +182,10 @@ def _check_memory(config: ExperimentConfig, nodes, n_points: int) -> None:
 
     They are the (nodes, T) parameters, the training tape of the largest
     noise group (one 8 * 4**n byte state per layer and subsampled row), the
-    states of every point and their Gram, which evaluation builds at once,
-    and the subsample schedule of every round.
+    states of every point and their Gram, and the subsample schedule of
+    every round. Evaluation holds only the training states, one row block
+    of test states and the train and cross Grams, so that term is an upper
+    bound.
     """
     batches = [sum(node.batch for node in group)
                for group in _noise_groups(nodes).values()]

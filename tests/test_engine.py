@@ -184,6 +184,25 @@ def test_feature_states_keep_one_scratch_block(n, b, bound, taped_bound):
         assert (peak - kept) / block < limit, record_tape
 
 
+def test_train_test_grams_hold_one_test_block():
+    """The traced peak above the training states, in 512 KiB row blocks, at
+    n = 6 with 120 training and 40 test rows. The bound lies halfway between
+    an engine that frees each test block before simulating the next (3.40)
+    and one that still holds the last (4.39); one Gram of the stacked rows
+    reads 4.93."""
+    n, n_train, n_test = 6, 120, 40
+    rng = np.random.default_rng(79)
+    spec = FeatureMapSpec(n_qubits=n, layers=8)
+    noise = NoiseModel(mode="per_gate", p=0.01)
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    x = random_batch(rng, n_train + n_test)
+    (_, k_cross), peak = traced_peak(lambda: engine.train_test_grams(
+        spec, theta, x[:n_train], x[n_train:], noise))
+    assert k_cross.shape == (n_test, n_train)
+    block = 8 * 4**n * engine._block_rows(n)
+    assert (peak - 8 * 4**n * n_train) / block < 3.9
+
+
 # each bound lies halfway between the call's figure when the reverse sweep
 # keeps one temporary and writes the cost over the states (3.21 at n = 5,
 # 3.11 at n = 6) and when it kept two plus a separate cost (5.21, 5.12)
@@ -225,6 +244,39 @@ def test_gram_matrix_equals_pairwise_reference():
                 assert abs(k[i, j] - want) < 1e-10
         assert np.max(np.abs(k - k.T)) < 1e-14
         assert np.all(k >= 0.0) and np.all(k <= 1.0)
+
+
+@pytest.mark.parametrize("n_test", [0, 1, 5])
+@pytest.mark.parametrize("noise", MODELS)
+def test_train_test_grams_match_reference_and_stacked_gram(monkeypatch, noise, n_test):
+    """Both blocks against the gate-by-gate reference and against the slices
+    of one Gram of the stacked rows. Two-row blocks make five test rows
+    three blocks, the last one partial."""
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 2 * 8 * 4**2)
+    rng = np.random.default_rng(71)
+    spec = FeatureMapSpec(n_qubits=2, layers=2)
+    assert engine._block_rows(spec.n_qubits) == 2
+    n_train = 4
+    x = random_batch(rng, n_train + n_test)
+    for theta in (rng.uniform(-np.pi, np.pi, size=spec.n_params),
+                  rng.uniform(-np.pi, np.pi, size=(len(x), spec.n_params))):
+        k_train, k_cross = engine.train_test_grams(
+            spec, theta, x[:n_train], x[n_train:], noise)
+        assert k_train.shape == (n_train, n_train)
+        assert k_cross.shape == (n_test, n_train)
+        for i in range(len(x)):
+            for j in range(n_train):
+                if theta.ndim == 2:  # theta_i computes, theta_j uncomputes
+                    want = qkernel._interference_value(
+                        spec, theta[i], theta[j], x[i], x[j], noise)
+                else:
+                    want = qkernel.kernel_eval(spec, theta, x[i], x[j], noise)
+                got = k_train[i, j] if i < n_train else k_cross[i - n_train, j]
+                assert abs(got - want) < 1e-10
+        k = engine.gram_matrix(spec, theta, x, noise)
+        ulps = 8 * np.finfo(float).eps  # the two products may sum in other orders
+        assert np.max(np.abs(k_train - k[:n_train, :n_train]), initial=0.0) <= ulps
+        assert np.max(np.abs(k_cross - k[n_train:, :n_train]), initial=0.0) <= ulps
 
 
 def test_noise_free_gram_diagonal_is_one():
@@ -387,8 +439,8 @@ def circuits(draw):
 @PROPERTY_SETTINGS
 @given(circuits(), st.integers(1, 4), st.integers(0, 3), st.booleans())
 def test_property_gram_matrix_matches_reference(case, n_train, n_test, per_row):
-    """The Gram of a train set with a test set stacked below it, the input
-    `learn.score` slices its train and cross blocks from."""
+    """The Gram of a train set with a test set stacked below it, and the
+    Gram of the train rows alone, which is its top-left block."""
     spec, noise, rng = case
     x = random_batch(rng, n_train + n_test)
     shape = (len(x), spec.n_params) if per_row else (spec.n_params,)

@@ -573,8 +573,11 @@ def test_evaluate_node_matches_separate_score_calls():
 
 def test_a_failed_ridge_solve_names_ridge_lam(monkeypatch):
     problem = runner.prepare_problem(tiny_config(), "decentralized")
-    monkeypatch.setattr(engine, "gram_matrix",
-                        lambda spec, theta, x, noise: np.full((len(x),) * 2, np.nan))
+    monkeypatch.setattr(
+        engine, "train_test_grams",
+        lambda spec, theta, x_train, x_test, noise: (
+            np.full((len(x_train),) * 2, np.nan),
+            np.full((len(x_test), len(x_train)), np.nan)))
     with pytest.raises(runner.RunError,
                        match="ridge.lam = 0.1: ridge solve residual nan"):
         runner.run_problem(problem, "decentralized")
@@ -715,12 +718,14 @@ def test_benchmark_tracing_sees_every_hooked_layer():
     for name, *_ in tracer.spans:
         calls[name] = calls.get(name, 0) + 1
     for name in ("engine.multi_alignment_grads", "engine.feature_states.train",
-                 "engine.feature_states.eval", "engine.backward", "dnet.clip"):
+                 "engine.feature_states.eval", "engine.train_test_grams",
+                 "engine.backward", "dnet.clip"):
         assert calls.get(name, 0) > 0, name
     # 3 honest nodes x 4 subsampled rows x 2 rounds
     assert tracer.rows["engine.feature_states.train"] == 24
     assert tracer.rows["engine.backward"] == 24
-    assert tracer.rows["engine.feature_states.eval"] > 0
+    # evaluation simulates each (theta, x) pair once, test blocks included
+    assert tracer.rows["engine.feature_states.eval"] == len(tracer.eval_pairs) > 0
     # one clip per message with nonzero weight: 3 honest nodes x 3 x 2 rounds
     assert tracer.clip_offered == calls["dnet.clip"] == 18
     # the traced table holds every per-layer metric the benchmark declares,
