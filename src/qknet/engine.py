@@ -64,8 +64,10 @@ Gradients come from one reverse sweep per batch (adjoint-state method; Jones
 routes are cross-checked in the test suite; the parameter-shift rule stays
 the reference.
 
-``theta`` may be a single parameter vector shared by the batch or one vector
-per row, which lets several nodes' evaluations share one call chain.
+``feature_states`` takes a single parameter vector shared by the batch or one
+vector per row, so that one training call carries every node's rows with its
+node's parameters. An evaluation scores one model, so `train_test_grams` and
+`gram_matrix` take one (T,) vector.
 """
 
 from __future__ import annotations
@@ -406,32 +408,28 @@ def train_test_grams(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The train Gram and the test-by-train cross Gram, as exact expectations.
 
-    ``theta`` is one parameter vector, or one per row of ``x_train`` followed
-    by ``x_test``. The training states are simulated and kept; the test rows
-    are simulated ``_block_rows(n)`` at a time, and each block becomes its
-    rows of the cross Gram and is freed before the next is simulated. The
-    test-by-test block is never computed. One forward simulation and the
-    state overlaps serve both noise kinds, since per-gate noise is always
-    mirrored in the uncompute half.
+    ``theta`` is the one (T,) parameter vector of every row. The training
+    states are simulated and kept; the test rows are simulated
+    ``_block_rows(n)`` at a time, and each block becomes its rows of the
+    cross Gram and is freed before the next is simulated. The test-by-test
+    block is never computed. One forward simulation and the state overlaps
+    serve both noise kinds, since per-gate noise is always mirrored in the
+    uncompute half.
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != (spec.n_params,):
+        raise ValueError(
+            f"theta must have shape ({spec.n_params},), got {theta.shape}")
     x_train, x_test = (np.atleast_2d(np.asarray(x, dtype=float))
                        for x in (x_train, x_test))
-    n_train, n_test = len(x_train), len(x_test)
-    _check_theta(spec, theta, n_train + n_test)
-
-    def rows(lo, hi):  # the parameters of the stacked rows lo:hi
-        return theta[lo:hi] if theta.ndim == 2 else theta
-
-    train, _ = feature_states(spec, rows(0, n_train), x_train, noise)
-    k_cross = np.empty((n_test, n_train))
+    train, _ = feature_states(spec, theta, x_train, noise)
+    k_cross = np.empty((len(x_test), len(x_train)))
     step = _block_rows(spec.n_qubits)
-    for lo in range(0, n_test, step):
-        hi = min(lo + step, n_test)
+    for lo in range(0, len(x_test), step):
         # one statement, so the block's states are freed before the next;
         # BLAS runs the (train, block) product faster than (block, train)
-        k_cross[lo:hi] = gram_from_states(train, feature_states(
-            spec, rows(n_train + lo, n_train + hi), x_test[lo:hi], noise)[0]).T
+        k_cross[lo:lo + step] = gram_from_states(train, feature_states(
+            spec, theta, x_test[lo:lo + step], noise)[0]).T
     return tuple(analytic_noisy_kernel(k, noise.global_p, spec.dim)
                  for k in (gram_from_states(train), k_cross))
 

@@ -96,8 +96,9 @@ class EvalPoint(NamedTuple):
 class Problem:
     """Everything a training loop needs, with data already distributed.
 
-    ``mode`` is the one the problem was prepared for; it only chose the
-    mixing matrix ``weights``, whose off-diagonal support is the network.
+    ``mode`` is the one the problem was prepared for: it chose the mixing
+    matrix ``weights``, whose off-diagonal support is the network, and a
+    centralized problem holds one honest node with every point.
     Each node's data are one contiguous block of ``global_train`` and of
     ``global_test``.
     ``schedule`` holds every round's subsample as row indices of
@@ -150,8 +151,8 @@ def _physical_bytes() -> int:
 
 def _load_dataset(config: ExperimentConfig) -> LabeledDataset:
     """The run's data, refused by ``_check_memory`` before a checkerboard is
-    drawn or a CSV partitioned; with no nodes yet, only the states and Gram
-    of every point count."""
+    drawn or a CSV partitioned; with no nodes yet, only an evaluation of
+    every point counts."""
     if config.data_csv_path:
         dataset = load_csv(config.data_csv_path)
         _check_memory(config, (), len(dataset))
@@ -180,19 +181,28 @@ def _schedule_bytes(nodes, rounds: int) -> int:
 def _check_memory(config: ExperimentConfig, nodes, n_points: int) -> None:
     """Refuse a run whose largest arrays outgrow physical memory.
 
-    They are the (nodes, T) parameters, the training tape of the largest
-    noise group (one 8 * 4**n byte state per layer and subsampled row), the
-    states of every point and their Gram, and the subsample schedule of
-    every round. Evaluation holds only the training states, one row block
-    of test states and the train and cross Grams, so that term is an upper
-    bound.
+    A state is a row of 8 * 4**n bytes; a row's 4x4 wall transfer matrices
+    take 128 * n bytes a layer, which outweighs the state at n <= 3. The
+    count adds the (nodes, T) parameters; the training call of the largest
+    noise group, per row: a state and three sets of wall matrices a layer
+    (the tape's, the block being built, and room for the (rows, T)
+    parameters, trig and gradients) and five row arrays (states, costs and
+    the reverse sweep's scratch); an evaluation: the states of every point,
+    two row blocks of scratch states and of wall matrices, and seven
+    (points, points) arrays for the Grams and the ridge fit's copies (under
+    six were measured, with shots and a 5% test split); and the subsample
+    schedule of every round. Evaluation keeps only the training states, and
+    training and evaluation alternate, so the sum is an upper bound.
     """
     batches = [sum(node.batch for node in group)
                for group in _noise_groups(nodes).values()]
     n, layers = config.circuit_n_qubits, config.circuit_layers
+    row, wall = 8 * 4**n, 128 * n
+    block = min(engine._block_rows(n), n_points)
     arrays = (8 * len(nodes) * n * layers
-              + 8 * 4**n * layers * max(batches, default=0)
-              + (8 * 4**n + 8 * n_points) * n_points)
+              + (layers * (row + 3 * wall) + 5 * row) * max(batches, default=0)
+              + (n_points + 2 * block) * row + 2 * block * layers * wall
+              + 56 * n_points**2)
     schedule = _schedule_bytes(nodes, config.run_budget)
     physical = _physical_bytes()
     if arrays + schedule > physical:
@@ -201,10 +211,10 @@ def _check_memory(config: ExperimentConfig, nodes, n_points: int) -> None:
                   f"data.points_per_cell = {config.data_points_per_cell}")
         raise RunError(
             f"{source}, circuit.n_qubits = {n} and circuit.layers = {layers}"
-            f" on {n_points} points need {arrays} bytes of parameters, states"
-            f" and Gram, and run.budget = {config.run_budget} needs {schedule}"
-            f" bytes of subsample schedule, more than the {physical} bytes of"
-            f" physical memory")
+            f" on {n_points} points need {arrays} bytes of parameters, states,"
+            f" wall matrices and Grams, and run.budget = {config.run_budget}"
+            f" needs {schedule} bytes of subsample schedule, more than the"
+            f" {physical} bytes of physical memory")
 
 
 def prepare_problem(config: ExperimentConfig, mode: str) -> Problem:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,3 +24,21 @@ def fresh_python():
                               capture_output=True, text=True, timeout=timeout)
 
     return run
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(call)`` returns ``call()``'s result and the peak bytes that
+    tracemalloc saw it hold; NumPy reports its array buffers to tracemalloc.
+    A first untraced call builds the caches outside the trace."""
+
+    def peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -5,8 +5,6 @@ parameter-shift rule to simulator precision; its reverse-sweep gradients
 are additionally checked against finite differences of the alignment.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,25 +149,14 @@ def test_backward_leaves_cost_and_tapes_unchanged():
     assert np.array_equal(grad, again)
 
 
-def traced_peak(call):
-    """``call()``'s result and the peak bytes that tracemalloc saw it hold;
-    NumPy reports its array buffers to tracemalloc."""
-    call()  # the cached gathers and zero state are built outside the trace
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # (n, rows, bound without a tape, bound with one): each bound lies halfway
 # between the figures of an engine that keeps two scratch blocks without a
 # tape and one with it (3.59 and 2.59 at n = 5, 2.35 and 1.35 at n = 6) and
 # one that kept four and three (5.59 and 4.59, 4.35 and 3.35)
 @pytest.mark.parametrize("n, b, bound, taped_bound",
                          [(5, 160, 4.59, 3.59), (6, 24, 3.35, 2.35)])
-def test_feature_states_keep_one_scratch_block(n, b, bound, taped_bound):
+def test_feature_states_keep_one_scratch_block(traced_peak, n, b, bound,
+                                                taped_bound):
     """The traced peak above the returned arrays, in 512 KiB row blocks."""
     rng = np.random.default_rng(61)
     spec = FeatureMapSpec(n_qubits=n, layers=8)
@@ -184,7 +171,7 @@ def test_feature_states_keep_one_scratch_block(n, b, bound, taped_bound):
         assert (peak - kept) / block < limit, record_tape
 
 
-def test_train_test_grams_hold_one_test_block():
+def test_train_test_grams_hold_one_test_block(traced_peak):
     """The traced peak above the training states, in 512 KiB row blocks, at
     n = 6 with 120 training and 40 test rows. The bound lies halfway between
     an engine that frees each test block before simulating the next (3.40)
@@ -207,7 +194,7 @@ def test_train_test_grams_hold_one_test_block():
 # keeps one temporary and writes the cost over the states (3.21 at n = 5,
 # 3.11 at n = 6) and when it kept two plus a separate cost (5.21, 5.12)
 @pytest.mark.parametrize("n, b, bound", [(5, 160, 4.21), (6, 24, 4.12)])
-def test_multi_alignment_grads_keep_three_row_arrays(n, b, bound):
+def test_multi_alignment_grads_keep_three_row_arrays(traced_peak, n, b, bound):
     """The traced peak above the tape and states, in (rows, 4**n) arrays."""
     rng = np.random.default_rng(67)
     spec = FeatureMapSpec(n_qubits=n, layers=8)
@@ -258,25 +245,38 @@ def test_train_test_grams_match_reference_and_stacked_gram(monkeypatch, noise, n
     assert engine._block_rows(spec.n_qubits) == 2
     n_train = 4
     x = random_batch(rng, n_train + n_test)
-    for theta in (rng.uniform(-np.pi, np.pi, size=spec.n_params),
-                  rng.uniform(-np.pi, np.pi, size=(len(x), spec.n_params))):
-        k_train, k_cross = engine.train_test_grams(
-            spec, theta, x[:n_train], x[n_train:], noise)
-        assert k_train.shape == (n_train, n_train)
-        assert k_cross.shape == (n_test, n_train)
-        for i in range(len(x)):
-            for j in range(n_train):
-                if theta.ndim == 2:  # theta_i computes, theta_j uncomputes
-                    want = qkernel._interference_value(
-                        spec, theta[i], theta[j], x[i], x[j], noise)
-                else:
-                    want = qkernel.kernel_eval(spec, theta, x[i], x[j], noise)
-                got = k_train[i, j] if i < n_train else k_cross[i - n_train, j]
-                assert abs(got - want) < 1e-10
-        k = engine.gram_matrix(spec, theta, x, noise)
-        ulps = 8 * np.finfo(float).eps  # the two products may sum in other orders
-        assert np.max(np.abs(k_train - k[:n_train, :n_train]), initial=0.0) <= ulps
-        assert np.max(np.abs(k_cross - k[n_train:, :n_train]), initial=0.0) <= ulps
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    k_train, k_cross = engine.train_test_grams(
+        spec, theta, x[:n_train], x[n_train:], noise)
+    assert k_train.shape == (n_train, n_train)
+    assert k_cross.shape == (n_test, n_train)
+    for i in range(len(x)):
+        for j in range(n_train):
+            want = qkernel.kernel_eval(spec, theta, x[i], x[j], noise)
+            got = k_train[i, j] if i < n_train else k_cross[i - n_train, j]
+            assert abs(got - want) < 1e-10
+    k = engine.gram_matrix(spec, theta, x, noise)
+    ulps = 8 * np.finfo(float).eps  # the two products may sum in other orders
+    assert np.max(np.abs(k_train - k[:n_train, :n_train]), initial=0.0) <= ulps
+    assert np.max(np.abs(k_cross - k[n_train:, :n_train]), initial=0.0) <= ulps
+
+
+def test_evaluation_grams_take_one_parameter_vector(monkeypatch):
+    """An evaluation scores one model: a (rows, T) theta is refused, also
+    when its row count is that of the stacked rows or of a test block."""
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 2 * 8 * 4**2)
+    rng = np.random.default_rng(83)
+    spec = FeatureMapSpec(n_qubits=2, layers=2)
+    x = random_batch(rng, 6)
+    expected = rf"\({spec.n_params},\)"
+    for rows in (1, 2, 4, 6):
+        theta = rng.uniform(-np.pi, np.pi, size=(rows, spec.n_params))
+        with pytest.raises(ValueError, match=expected):
+            engine.train_test_grams(spec, theta, x[:4], x[4:], NoiseModel())
+        with pytest.raises(ValueError, match=expected):
+            engine.gram_matrix(spec, theta, x[:rows], NoiseModel())
+    with pytest.raises(ValueError, match=expected):
+        engine.gram_matrix(spec, np.zeros(spec.n_params + 1), x, NoiseModel())
 
 
 def test_noise_free_gram_diagonal_is_one():
@@ -437,26 +437,19 @@ def circuits(draw):
 
 
 @PROPERTY_SETTINGS
-@given(circuits(), st.integers(1, 4), st.integers(0, 3), st.booleans())
-def test_property_gram_matrix_matches_reference(case, n_train, n_test, per_row):
+@given(circuits(), st.integers(1, 4), st.integers(0, 3))
+def test_property_gram_matrix_matches_reference(case, n_train, n_test):
     """The Gram of a train set with a test set stacked below it, and the
     Gram of the train rows alone, which is its top-left block."""
     spec, noise, rng = case
     x = random_batch(rng, n_train + n_test)
-    shape = (len(x), spec.n_params) if per_row else (spec.n_params,)
-    theta = rng.uniform(-np.pi, np.pi, size=shape)
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
     k = engine.gram_matrix(spec, theta, x, noise)
     for i in range(len(x)):
         for j in range(len(x)):
-            if per_row:  # theta_i computes, theta_j uncomputes
-                want = qkernel._interference_value(
-                    spec, theta[i], theta[j], x[i], x[j], noise
-                )
-            else:
-                want = qkernel.kernel_eval(spec, theta, x[i], x[j], noise)
+            want = qkernel.kernel_eval(spec, theta, x[i], x[j], noise)
             assert abs(k[i, j] - want) < 1e-10
-    k_train = engine.gram_matrix(spec, theta[:n_train] if per_row else theta,
-                                 x[:n_train], noise)
+    k_train = engine.gram_matrix(spec, theta, x[:n_train], noise)
     assert np.max(np.abs(k[:n_train, :n_train] - k_train)) < 1e-12
 
 

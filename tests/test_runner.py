@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -117,8 +118,10 @@ def test_a_csv_path_alone_chooses_the_csv(tmp_path):
 def test_an_oversize_csv_is_refused_before_it_is_partitioned(tmp_path, monkeypatch):
     points = data.gen_checkerboard(2, 0.04, seed=11)
     data.save_csv(points, tmp_path / "points.csv")
-    # the states and Gram of every point: 8 * 4**2 and 8 * points bytes each
-    need = (8 * 4**2 + 8 * len(points)) * len(points)
+    # the evaluation of every point: its state (8 * 4**2 bytes), two more
+    # states and two sets of 2-layer wall matrices (2 * 2 * 128 * 2 bytes),
+    # since the 32 points are one row block, and seven Grams (56 * points)
+    need = (3 * 8 * 4**2 + 2 * 2 * 128 * 2 + 56 * len(points)) * len(points)
     monkeypatch.setattr(runner, "_physical_bytes", lambda: need - 1)
 
     def unreachable(*args, **kwargs):
@@ -454,24 +457,23 @@ def test_a_run_too_large_for_the_host_names_its_size():
                        r"circuit.layers = 100000000000000 on 32 points need"):
         runner.prepare_problem(tiny_config(circuit_layers=10**14),
                                "decentralized")
-    # the evaluation Gram of 10**7 points is 8e14 bytes
+    # the evaluation Grams of 10**7 points are 56e14 bytes
     problem = runner.prepare_problem(tiny_config(), "decentralized")
     with pytest.raises(runner.RunError, match=r"on 10000000 points need "
-                       r"8000\d{11} bytes"):
+                       r"5600\d{12} bytes"):
         runner._check_memory(problem.config, problem.nodes, 10**7)
 
 
 def test_an_oversize_checkerboard_is_refused_before_it_is_drawn(monkeypatch):
-    # 16 x 10**6 points need (8 x 4**2 + 8 x 16e6) x 16e6 bytes of states
-    # and Gram, past any host; drawing them would take tens of seconds and
-    # gigabytes first
+    # 16 x 10**6 points need about 56 x 16e6 x 16e6 bytes of Grams, past
+    # any host; drawing them would take tens of seconds and gigabytes first
     def draw(*args):
         raise AssertionError("the checkerboard was drawn")
 
     monkeypatch.setattr(runner, "gen_checkerboard", draw)
     with pytest.raises(runner.RunError, match=r"data.points_per_cell = 1000000, "
                        r"circuit.n_qubits = 2 .* on 16000000"
-                       r" points need 2048002048000000 bytes"):
+                       r" points need 14336002053242880 bytes"):
         runner.prepare_problem(tiny_config(data_points_per_cell=10**6),
                                "decentralized")
 
@@ -485,6 +487,51 @@ def test_the_memory_check_counts_the_subsample_schedule():
                        r"needs 12800000000000000 bytes of subsample schedule"):
         runner._check_memory(config, problem.nodes, 32)
     runner._check_memory(problem.config, problem.nodes, 32)
+
+
+def counted_bytes(monkeypatch, config, nodes, n_points):
+    """The array bytes that the memory check counts, read from its refusal."""
+    with monkeypatch.context() as m:
+        m.setattr(runner, "_physical_bytes", lambda: 0)
+        with pytest.raises(runner.RunError) as refusal:
+            runner._check_memory(config, nodes, n_points)
+    return int(re.search(r"need (\d+) bytes", str(refusal.value))[1])
+
+
+@pytest.mark.parametrize("n, layers", [(1, 400), (2, 400), (3, 200)])
+def test_the_memory_check_bounds_a_half_step_and_an_evaluation(
+        monkeypatch, traced_peak, n, layers):
+    """The traced peaks of one round's half-steps (4 nodes x 8 rows) and of
+    one evaluation (160 points) stay within the bytes counted for them. At
+    few qubits and many layers the wall matrices outweigh the states: a
+    count of the states alone misses the peaks by 3-60 times."""
+    config = ExperimentConfig(circuit_n_qubits=n, circuit_layers=layers,
+                              run_budget=1)
+    problem = runner.prepare_problem(config, "decentralized")
+    points = len(problem.global_train) + len(problem.global_test)
+    evaluation = counted_bytes(monkeypatch, config, (), points)
+    training = counted_bytes(monkeypatch, config, problem.nodes, points) - evaluation
+    thetas = np.random.default_rng(89).uniform(
+        -np.pi, np.pi, size=(len(problem.nodes), problem.spec.n_params))
+    _, half_steps = traced_peak(lambda: runner._half_steps(problem, thetas, 0))
+    _, evaluate = traced_peak(lambda: runner._evaluate(problem, thetas, 0))
+    assert half_steps <= training
+    assert evaluate <= evaluation
+
+
+def test_the_memory_check_counts_the_wall_matrices(monkeypatch):
+    """A host with room for the parameters, the tape's states, the states
+    and Gram of every point and the schedule, but not for the wall matrices
+    of 400 layers at n = 2, refuses the run."""
+    config = tiny_config(circuit_layers=400)
+    n, layers, points, rows = 2, 400, 32, 16  # 4 nodes x 4 subsampled rows
+    states_only = (8 * 4 * n * layers + 8 * 4**n * layers * rows
+                   + (8 * 4**n + 8 * points) * points
+                   + 8 * config.run_budget * rows)
+    monkeypatch.setattr(runner, "_physical_bytes", lambda: 2 * states_only)
+    with pytest.raises(runner.RunError, match=r"circuit.layers = 400 on 32"
+                       r" points need \d+ bytes of parameters, states, wall"):
+        runner.prepare_problem(config, "decentralized")
 
 
 def test_run_reads_the_prepared_schedule_up_to_its_budget():
